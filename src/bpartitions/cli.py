@@ -10,10 +10,10 @@ import argparse
 import sys
 
 from .core import (
-    GroundSet,
     InternalInvariantError,
     PartitionError,
     complement,
+    require_full_ground,
     statistics,
 )
 from .counting import distribution, singleton_free_egf, singleton_free_ie, total_count
@@ -107,10 +107,13 @@ def _iter_inputs(ns):
     if ns.stdin:
         if ns.partition is not None:
             raise _UsageError("give a partition argument or --stdin, not both")
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                yield line
+        try:
+            for line in sys.stdin:
+                line = line.strip()
+                if line:
+                    yield line
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"stdin is not text: {exc}") from None
     elif ns.partition is None:
         raise _UsageError("missing partition argument (or use --stdin)")
     else:
@@ -118,8 +121,11 @@ def _iter_inputs(ns):
 
 
 def _parse(ns, text):
-    ground = GroundSet.full(ns.n) if ns.n is not None else None
-    return parse_partition(text, ground)
+    # Compared by size first, so a huge --n never builds its ground set.
+    part = parse_partition(text)
+    if ns.n is not None:
+        require_full_ground(part, ns.n)
+    return part
 
 
 def _cmd_stats(ns) -> int:
@@ -182,6 +188,8 @@ def _cmd_enumerate(ns) -> int:
 
 
 def _cmd_poly(ns) -> int:
+    if ns.n < 1:
+        raise _UsageError("--n must be at least 1")
     dist = distribution(ns.n, limit=ns.limit)
     for s, a, c in dist.terms():
         print(s, a, c)
@@ -193,6 +201,10 @@ def _cmd_poly(ns) -> int:
 
 
 def _cmd_count(ns) -> int:
+    if ns.n is not None and ns.n < 0:
+        raise _UsageError("--n must be nonnegative")
+    if ns.upto is not None and ns.upto < 0:
+        raise _UsageError("--upto must be nonnegative")
     if ns.upto is not None and not ns.egf:
         raise _UsageError("--upto only applies to --egf")
     if ns.egf:
@@ -250,9 +262,6 @@ def run(argv: list[str] | None = None) -> int:
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # out-of-range numeric arguments
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class PartitionError(ValueError):
@@ -174,6 +174,14 @@ class SignedPartition:
         return " / ".join(",".join(str(m) for m in b.members) for b in self.blocks)
 
 
+def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:
+    """Where two sequences first differ; messages name this, never whole grounds."""
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x = a[i] if i < len(a) else "end"
+    y = b[i] if i < len(b) else "end"
+    return f"first difference at index {i}: {x} vs {y}"
+
+
 def make_partition(
     blocks: Iterable[Iterable[int]],
     ground: GroundSet | Iterable[int] | None = None,
@@ -197,7 +205,8 @@ def make_partition(
         gset = ground if isinstance(ground, GroundSet) else GroundSet.of(ground)
         if gset.elements != support:
             raise GroundMismatchError(
-                f"blocks cover {list(support)} but the ground set is {list(gset.elements)}"
+                f"blocks cover {len(support)} elements but the ground set has "
+                f"{len(gset)}; {_first_difference(support, gset.elements)}"
             )
     return SignedPartition(gset, tuple(SignedBlock(b) for b in norm))
 
@@ -298,7 +307,8 @@ def require_full_ground(part: SignedPartition, n: int | None = None) -> int:
         n = size
     if n != size or not part.ground.is_full():
         raise NotFullGroundError(
-            f"ground {list(part.ground)} is not the full set 1..{n}"
+            f"ground of {size} elements is not the full set 1..{n}; "
+            f"{_first_difference(part.ground.elements, range(1, n + 1))}"
         )
     return n
 

@@ -199,8 +199,8 @@ class BivariateDistribution:
 def distribution(n: int, *, limit: int = 12) -> BivariateDistribution:
     """Tabulate the joint distribution by enumerating all of V_n.
 
-    The guard reflects |V_n| growth (|V_12| is already in the billions); pass
-    a larger ``limit`` deliberately to go past it.
+    The guard reflects |V_n| growth (|V_12| is 487,026,929); pass a larger
+    ``limit`` deliberately to go past it.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")

@@ -25,13 +25,25 @@ must be exactly the singleton set of the new stage and the layer's singletons
 exactly its side-point set on the attach side.  That exchange is what makes
 the inverse peel retrace the stages, so a violation raises
 :class:`~bpartitions.core.InternalInvariantError`.
+
+Every entry point runs on one private array kernel.  A stage is a sorted
+ground plus one integer key per position; a peel step is a scan for the
+layer's singletons and side points followed by a filter of the positions,
+and a patch or un-peel step merges the layer into the ground and hands each
+run the key of its anchor.  The check after each patch step is a fresh scan
+of the new stage.  Canonical :class:`~bpartitions.core.SignedPartition`
+objects are built only where a public function returns one: the core of a
+:class:`PeelTrace`, each entry of :func:`patch_stages` and
+:func:`trace_stages`, and the results of :func:`patch`, :func:`peel_step` and
+:func:`patch_step`.  So ``psi`` builds two per call however many layers its
+input peels into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterator
 
 from .core import (
     GroundSet,
@@ -39,11 +51,9 @@ from .core import (
     PartitionError,
     GroundMismatchError,
     SignedPartition,
-    Statistics,
     make_partition,
     require_full_ground,
     complement,
-    statistics,
 )
 
 
@@ -92,40 +102,62 @@ class PeelTrace:
     original_ground: GroundSet
 
 
-def _stage_sets(part: SignedPartition, side: Side) -> tuple[set[int], set[int], Statistics]:
-    """Singleton elements and side points of ``part``, plus the raw statistics."""
-    stats = statistics(part)
-    ts = part.ground.elements
-    r = len(ts)
-    if side is Side.LEFT:
-        points = {ts[j - 1] for j in stats.adjacency_positions}
-    else:
-        points = {ts[j % r] for j in stats.adjacency_positions} if r else set()
-    return set(stats.singleton_elements), points, stats
+# A stage is the kernel's form of a partition: its ground as a sorted list ``ts``
+# and one key per position, 2 * label + (sign > 0), where the label names the
+# block pair.  Cyclic neighbours form an adjacency exactly when their keys are
+# equal, and a block is a singleton exactly when its label occurs once.  Keys
+# only compare for equality, so a stage never needs renormalising; a run
+# element takes its anchor's key whatever sign the anchor has in its block.
+
+_RUN = -1  # key placeholder for a run element not yet given its anchor's key
 
 
-def _extract(part: SignedPartition, side: Side) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The sets a peel step would remove, or None when ``part`` is a core."""
-    singles, points, stats = _stage_sets(part, side)
-    if stats.singletons == 0 and stats.adjacencies == 0:
+def _stage(part: SignedPartition) -> tuple[list[int], list[int]]:
+    key: dict[int, int] = {}
+    for label, block in enumerate(part.blocks):
+        for m in block.members:
+            key[abs(m)] = 2 * label + (m > 0)
+    ts = list(part.ground.elements)
+    return ts, [key[t] for t in ts]
+
+
+def _materialize(ts: list[int], keys: list[int]) -> SignedPartition:
+    blocks: dict[int, list[int]] = {}
+    for t, k in zip(ts, keys):
+        blocks.setdefault(k >> 1, []).append(t if k & 1 else -t)
+    return make_partition(blocks.values(), GroundSet(tuple(ts)))
+
+
+def _scan(ts: list[int], keys: list[int], side: Side) -> tuple[set[int], set[int]]:
+    """Singleton elements and side points of a stage."""
+    count: dict[int, int] = {}
+    for k in keys:
+        count[k] = count.get(k, 0) + 1
+    singles = {t for t, k in zip(ts, keys) if count[k] == 1 and k ^ 1 not in count}
+    following = keys[1:] + keys[:1]
+    owners = ts if side is Side.LEFT else ts[1:] + ts[:1]
+    return singles, {t for t, k, k2 in zip(owners, keys, following) if k == k2}
+
+
+def _peel_sets(
+    ts: list[int], keys: list[int], side: Side
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The sets a peel step would remove, or None when the stage is a core."""
+    singles, points = _scan(ts, keys, side)
+    if not singles and not points:
         return None
-    if len(part.ground) == 1:
+    if len(ts) == 1:
         return frozenset(singles), frozenset()
     if points & singles:
         raise InternalInvariantError(
-            f"singletons and side points overlap in {part}"
+            f"singletons and side points overlap in {_materialize(ts, keys)}"
         )
     return frozenset(singles), frozenset(points)
 
 
-def _strip(part: SignedPartition, removed: frozenset[int]) -> SignedPartition:
-    remaining = GroundSet(tuple(t for t in part.ground.elements if t not in removed))
-    raw = []
-    for block in part.blocks:
-        kept = [m for m in block.members if abs(m) not in removed]
-        if kept:
-            raw.append(kept)
-    return make_partition(raw, remaining)
+def _remove(ts: list[int], keys: list[int], gone: frozenset[int]) -> tuple[list[int], list[int]]:
+    kept = [j for j, t in enumerate(ts) if t not in gone]
+    return [ts[j] for j in kept], [keys[j] for j in kept]
 
 
 def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLayer, SignedPartition]:
@@ -134,12 +166,13 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     Removal always acts on +x and -x together, so the remainder is again a
     valid symmetric partition without zero-block.
     """
-    sets = _extract(part, side)
+    ts, keys = _stage(part)
+    sets = _peel_sets(ts, keys, side)
     if sets is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
     singles, points = sets
-    layer = PeelLayer(step, singles, points, side)
-    return layer, _strip(part, singles | points)
+    rest = _materialize(*_remove(ts, keys, singles | points))
+    return PeelLayer(step, singles, points, side), rest
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -149,88 +182,87 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     ground set, so at most r steps occur; the core may be empty.
     """
     layers: list[PeelLayer] = []
-    cur = part
-    while True:
-        sets = _extract(cur, side)
-        if sets is None:
-            return PeelTrace(tuple(layers), cur, part.ground)
+    ts, keys = _stage(part)
+    while (sets := _peel_sets(ts, keys, side)) is not None:
         singles, points = sets
         layers.append(PeelLayer(len(layers) + 1, singles, points, side))
-        cur = _strip(cur, singles | points)
+        ts, keys = _remove(ts, keys, singles | points)
+    core = _materialize(ts, keys) if layers else part
+    return PeelTrace(tuple(layers), core, part.ground)
 
 
-def _merged_ground(ground: GroundSet, layer: PeelLayer) -> GroundSet:
-    return GroundSet(tuple(sorted(set(ground.elements) | layer.singletons | layer.side_points)))
-
-
-def _cyclic_runs(elements: Iterable[int], ground: GroundSet) -> list[list[int]]:
-    """Maximal cyclically consecutive runs of ``elements``, each in cyclic order."""
-    ts = ground.elements
-    r = len(ts)
-    pos = sorted(ground.position(t) for t in elements)
-    runs: list[list[int]] = []
-    for p in pos:
-        if runs and p == runs[-1][-1] + 1:
-            runs[-1].append(p)
-        else:
-            runs.append([p])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == r - 1:
-        runs[0] = runs.pop() + runs[0]
-    return [[ts[p] for p in run] for run in runs]
-
-
-def _assemble(
-    stage: SignedPartition,
-    run_elements: frozenset[int],
-    singleton_elements: frozenset[int],
-    attach: Side,
-    target: GroundSet,
-) -> SignedPartition:
-    """Insert ``run_elements`` next to their anchors and add fresh singletons."""
-    ts = target.elements
-    if stage.is_empty:
-        if not run_elements and len(singleton_elements) == len(ts):
-            return make_partition([[t] for t in ts], target)
-        if not singleton_elements and len(run_elements) == len(ts):
-            return make_partition([list(ts)], target)
-        raise MalformedLayerError(
-            "an empty stage accepts only an all-singleton or an all-side-point layer"
-        )
-    raw = [list(b.members) for b in stage.blocks]
-    loc: dict[int, tuple[int, int]] = {}
-    for bi, block in enumerate(stage.blocks):
-        for m in block.members:
-            if m > 0:
-                loc[m] = (bi, 1)
-            else:
-                loc[-m] = (bi, -1)
-    for run in _cyclic_runs(run_elements, target):
-        if attach is Side.RIGHT:
-            anchor = target.predecessor(run[0])
-        else:
-            anchor = target.successor(run[-1])
-        if anchor not in loc:
-            raise AnchorMissingError(
-                f"run {run} is anchored at {anchor}, which is absent from the stage"
-            )
-        bi, orient = loc[anchor]
-        raw[bi].extend(orient * x for x in run)
-    for t in singleton_elements:
-        raw.append([t])
-    return make_partition(raw, target)
-
-
-def _check_disjoint_cover(stage: SignedPartition, layer: PeelLayer, target: GroundSet) -> None:
-    added = layer.singletons | layer.side_points
+def _merge(ts: list[int], runs: frozenset[int], fresh: frozenset[int]) -> list[int]:
+    """The ground of a stage with a layer merged in, checking they are disjoint."""
+    added = runs | fresh
     if not added:
         raise MalformedLayerError("layer carries no elements")
-    if layer.singletons & layer.side_points:
+    if runs & fresh:
         raise MalformedLayerError("layer singletons and side points overlap")
-    base = set(stage.ground.elements)
-    if base & added or base | added != set(target.elements):
+    if not added.isdisjoint(ts):
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
+    return sorted(ts + list(added))
+
+
+def _fill_runs(merged: list[int], out: list[int], limit: int, attach: Side) -> None:
+    """Give each maximal cyclic run of ``_RUN`` positions its anchor's key.
+
+    The anchor is the run's cyclic predecessor when attaching on the right,
+    its cyclic successor when attaching on the left; it must be a stage
+    element, whose key is below ``limit``.
+    """
+    r = len(out)
+    spans: list[list[int]] = []  # [first, last] positions, one per run
+    for p, k in enumerate(out):
+        if k == _RUN:
+            if spans and spans[-1][1] == p - 1:
+                spans[-1][1] = p
+            else:
+                spans.append([p, p])
+    if len(spans) > 1 and spans[0][0] == 0 and spans[-1][1] == r - 1:
+        spans[0][0] = spans.pop()[0]
+    for first, last in spans:
+        anchor = first - 1 if attach is Side.RIGHT else (last + 1) % r
+        positions = range(first, last + 1 + (r if first > last else 0))
+        key = out[anchor]
+        if key >= limit:
+            run = [merged[p % r] for p in positions]
+            raise AnchorMissingError(
+                f"run {run} is anchored at {merged[anchor]}, which is absent from the stage"
+            )
+        for p in positions:
+            out[p % r] = key
+
+
+def _graft(
+    ts: list[int],
+    keys: list[int],
+    labels: int,
+    merged: list[int],
+    runs: frozenset[int],
+    fresh: frozenset[int],
+    attach: Side,
+) -> tuple[list[int], int]:
+    """Keys on ``merged`` (see :func:`_merge`) for ``runs`` inserted next to
+    their anchors and ``fresh`` added as singletons.
+
+    ``labels`` bounds the labels in use; returns the keys and the new bound.
+    """
+    if not ts:
+        if runs and fresh:
+            raise MalformedLayerError(
+                "an empty stage accepts only an all-singleton or an all-side-point layer"
+            )
+        if runs:
+            return [2 * labels + 1] * len(merged), labels + 1
+    limit = 2 * labels
+    key_of = dict(zip(ts, keys))
+    key_of.update(zip(fresh, range(limit + 1, limit + 2 * len(fresh), 2)))
+    out = [key_of.get(t, _RUN) for t in merged]
+    if runs:
+        _fill_runs(merged, out, limit, attach)
+    return out, labels + len(fresh)
 
 
 def patch_step(
@@ -248,30 +280,51 @@ def patch_step(
     """
     if attach is layer.side:
         raise MalformedLayerError("attach side must be opposite the peel side")
-    _check_disjoint_cover(stage, layer, target_ground)
-    return _assemble(stage, layer.singletons, layer.side_points, attach, target_ground)
-
-
-def _check_stage(
-    stage: SignedPartition,
-    layer: PeelLayer,
-    points_side: Side,
-    expect_singletons: frozenset[int],
-    expect_points: frozenset[int],
-    what: str,
-) -> None:
-    # On a one-element ground the lone element is singleton and side point at
-    # once, so the two expected sets collapse to the layer's union.
-    if len(stage.ground) == 1:
-        both = layer.singletons | layer.side_points
-        expect_singletons = expect_points = frozenset(both)
-    singles, points, _ = _stage_sets(stage, points_side)
-    if singles != set(expect_singletons) or points != set(expect_points):
-        raise InternalInvariantError(
-            f"{what} at layer {layer.step} built a stage with singletons "
-            f"{sorted(singles)} and side points {sorted(points)} instead of "
-            f"{sorted(expect_singletons)} / {sorted(expect_points)}: {stage}"
+    runs, fresh = layer.singletons, layer.side_points
+    ts, keys = _stage(stage)
+    merged = _merge(ts, runs, fresh)
+    if tuple(merged) != target_ground.elements:
+        raise GroundMismatchError(
+            "target ground is not the disjoint union of the stage ground and the layer"
         )
+    out, _ = _graft(ts, keys, len(stage.blocks), merged, runs, fresh, attach)
+    return _materialize(merged, out)
+
+
+def _unfold(trace: PeelTrace, attach: Side | None) -> Iterator[tuple[list[int], list[int]]]:
+    """The stages from the core up, one per layer in reverse peel order.
+
+    With ``attach`` given, each layer is patched in on that side with the two
+    roles interchanged; with None it is un-peeled with its original roles.
+    Every stage must carry the layer's returning elements as its singleton
+    set and the anchored ones as its side points on the attach side; a fresh
+    scan checks this, and a violation raises :class:`InternalInvariantError`.
+    """
+    ts, keys = _stage(trace.core)
+    labels = len(trace.core.blocks)
+    for layer in reversed(trace.layers):
+        if attach is None:
+            side, runs, fresh, what = layer.side, layer.side_points, layer.singletons, "un-peel"
+        elif attach is layer.side:
+            raise MalformedLayerError("attach side must be opposite the peel side")
+        else:
+            side, runs, fresh, what = attach, layer.singletons, layer.side_points, "patch"
+        merged = _merge(ts, runs, fresh)
+        keys, labels = _graft(ts, keys, labels, merged, runs, fresh, side)
+        ts = merged
+        if len(ts) == 1:
+            # The lone element is singleton and side point at once.
+            runs = fresh = runs | fresh
+        singles, points = _scan(ts, keys, side)
+        if singles != fresh or points != runs:
+            raise InternalInvariantError(
+                f"{what} at layer {layer.step} built a stage with singletons "
+                f"{sorted(singles)} and side points {sorted(points)} instead of "
+                f"{sorted(fresh)} / {sorted(runs)}: {_materialize(ts, keys)}"
+            )
+        yield ts, keys
+    if tuple(ts) != trace.original_ground.elements:
+        raise GroundMismatchError("trace layers do not rebuild the original ground")
 
 
 def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
@@ -283,21 +336,19 @@ def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
     singleton set and the layer's singletons as its side points on the attach
     side; a violation raises :class:`InternalInvariantError`.
     """
-    stages = [trace.core]
-    cur = trace.core
-    for layer in reversed(trace.layers):
-        target = _merged_ground(cur.ground, layer)
-        cur = patch_step(cur, layer, attach, target)
-        _check_stage(cur, layer, attach, layer.side_points, layer.singletons, "patch")
-        stages.append(cur)
-    if cur.ground != trace.original_ground:
-        raise GroundMismatchError("trace layers do not rebuild the original ground")
-    return tuple(stages)
+    return (trace.core, *(_materialize(ts, keys) for ts, keys in _unfold(trace, attach)))
 
 
 def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
-    """Fold every layer of ``trace`` back in; see :func:`patch_stages`."""
-    return patch_stages(trace, attach)[-1]
+    """Fold every layer of ``trace`` back in; see :func:`patch_stages`.
+
+    Only the result is built as a :class:`SignedPartition`; the stages below
+    it are checked the same way but never materialised.
+    """
+    last = None
+    for last in _unfold(trace, attach):
+        pass
+    return trace.core if last is None else _materialize(*last)
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -309,16 +360,7 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     back as singleton blocks.  Index j of the result is the remainder after
     layer j; index 0 is the partition the trace was peeled from.
     """
-    stages = [trace.core]
-    cur = trace.core
-    for layer in reversed(trace.layers):
-        target = _merged_ground(cur.ground, layer)
-        _check_disjoint_cover(cur, layer, target)
-        cur = _assemble(cur, layer.side_points, layer.singletons, layer.side, target)
-        _check_stage(cur, layer, layer.side, layer.singletons, layer.side_points, "un-peel")
-        stages.append(cur)
-    if cur.ground != trace.original_ground:
-        raise GroundMismatchError("trace layers do not rebuild the original ground")
+    stages = [trace.core, *(_materialize(ts, keys) for ts, keys in _unfold(trace, None))]
     return tuple(reversed(stages))
 
 

@@ -13,6 +13,7 @@ merged in a fixed order, so the output never depends on the worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -151,7 +152,12 @@ class SweepResult:
 
 
 def sweep(n: int, jobs: int = 1) -> SweepResult:
-    """One full pass over V_n, optionally split across processes."""
+    """One full pass over V_n, optionally split across processes.
+
+    The worker count is ``jobs`` clamped to the CPU count and the number of
+    slices, so no argument starts more processes than can run at once.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
     want_texts = n <= TEXT_SWEEP_LIMIT
     depth = 1
     if jobs > 1 and n >= 3:
@@ -160,8 +166,9 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
             depth += 1
     states = enumeration_slice(n, depth)
     payloads = [(n, s.blocks, want_texts, want_texts) for s in states]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_slice, payloads))
     else:
         results = [_sweep_slice(p) for p in payloads]

@@ -80,3 +80,17 @@ def partitions(draw, max_n: int = 9, full_ground: bool = True):
         else:
             blocks[(choice - 1) // 2].append(t if choice % 2 == 1 else -t)
     return make_partition(blocks)
+
+
+@st.composite
+def nested_partitions(draw, max_n: int = 300):
+    """Partitions of {1..n} pairing i with n+1-i, each pair signed at random.
+
+    Peeling works from the middle outwards, so these take many more layers
+    than the partitions drawn by :func:`partitions`.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    blocks = [[i, draw(st.sampled_from((1, -1))) * (n + 1 - i)] for i in range(1, n // 2 + 1)]
+    if n % 2:
+        blocks.append([(n + 1) // 2])
+    return make_partition(blocks)

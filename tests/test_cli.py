@@ -62,6 +62,13 @@ class TestTransforms:
         assert code == 0
         assert out.splitlines() == ["1,2", "1 / 2"]
 
+    def test_undecodable_stdin_is_a_usage_error(self, capsys, monkeypatch):
+        raw = io.BytesIO(b"1 / 2\n\xff\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        code, _, err = invoke(capsys, "psi", "--stdin")
+        assert code == 1
+        assert "stdin is not text" in err
+
     def test_partition_and_stdin_conflict(self, capsys):
         code, _, err = invoke(capsys, "psi", "1,2", "--stdin")
         assert code == 1
@@ -150,6 +157,35 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == 1
 
+    def test_jobs_are_clamped_to_cpus_and_slices(self, capsys, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("bpartitions.verification.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        _, sequential, _ = invoke(capsys, "verify", "--max-n", "4")
+        code, clamped, _ = invoke(capsys, "verify", "--max-n", "4", "--jobs", "1000")
+        assert code == 0
+        assert pools and all(w == 3 for w in pools)
+        assert clamped.replace("jobs=1000", "jobs=1") == sequential
+
+        pools.clear()
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        invoke(capsys, "verify", "--max-n", "4", "--jobs", "1000")
+        assert pools == []
+
     def test_jobs_do_not_change_output(self, capsys):
         _, sequential, _ = invoke(capsys, "verify", "--max-n", "4")
         _, parallel, _ = invoke(capsys, "verify", "--max-n", "4", "--jobs", "2")
@@ -172,7 +208,21 @@ class TestExitCodes:
         assert invoke(capsys, "poly", "--n", "0")[0] == 1
         assert invoke(capsys, "enumerate", "--n", "-1")[0] == 1
         assert invoke(capsys, "count", "--n", "-2")[0] == 1
+        assert invoke(capsys, "count", "--egf", "--upto", "-1")[0] == 1
         assert invoke(capsys, "verify", "--max-n", "0")[0] == 1
+
+    def test_huge_forced_ground_fails_fast_with_a_short_message(self, capsys):
+        code, _, err = invoke(capsys, "stats", "1 / 2", "--n", "2000000")
+        assert code == 2
+        assert len(err.encode()) < 1024
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(part):
+            raise ValueError("bug inside psi")
+
+        monkeypatch.setattr("bpartitions.cli.psi", broken)
+        with pytest.raises(ValueError, match="bug inside psi"):
+            run(["psi", "1 / 2"])
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0

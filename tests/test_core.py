@@ -80,6 +80,14 @@ class TestMakePartition:
         with pytest.raises(GroundMismatchError):
             make_partition([[1], [2]], [1, 2, 3])
 
+    def test_ground_mismatch_message_names_sizes_and_first_difference(self):
+        with pytest.raises(GroundMismatchError) as info:
+            make_partition([[1], [3]], GroundSet.full(100_000))
+        assert str(info.value) == (
+            "blocks cover 2 elements but the ground set has 100000; "
+            "first difference at index 1: 3 vs 2"
+        )
+
     def test_empty_and_zero_member(self):
         with pytest.raises(PartitionError):
             make_partition([[]])
@@ -150,7 +158,7 @@ class TestComplement:
     def test_requires_full_ground(self):
         with pytest.raises(NotFullGroundError):
             complement(make_partition([[1], [3]]), 3)
-        with pytest.raises(NotFullGroundError):
+        with pytest.raises(NotFullGroundError, match="2 elements .* index 2: end vs 3$"):
             complement(make_partition([[1], [2]]), 3)
 
 

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from bpartitions import (
     AlreadyCoreError,
     AnchorMissingError,
     GroundMismatchError,
     GroundSet,
+    InternalInvariantError,
     MalformedLayerError,
     NotFullGroundError,
     PeelLayer,
+    PeelTrace,
     Side,
     complement,
     for_each,
@@ -40,6 +43,7 @@ from conftest import (
     PATCH_RIGHT_ROWS,
     PEEL_LEFT_ROWS,
     PEEL_RIGHT_ROWS,
+    nested_partitions,
     partitions,
 )
 
@@ -189,6 +193,17 @@ class TestPatch:
             assert str(stages[len(trace.layers) - step]) == before
         assert str(stages[-1]) == BIG_MIRROR_IMAGE
 
+    def test_stage_check_rejects_a_corrupted_trace(self):
+        # 1 and 2 claim to be peeled singletons; patched back as one run
+        # anchored at 3 they close the cycle, so 3 becomes a side point too,
+        # and un-peeled as singletons they leave 3 a singleton as well
+        layer = PeelLayer(1, frozenset({1, 2}), frozenset(), Side.LEFT)
+        trace = PeelTrace((layer,), make_partition([[3]]), GroundSet.full(3))
+        with pytest.raises(InternalInvariantError, match="patch at layer 1"):
+            patch_stages(trace, Side.RIGHT)
+        with pytest.raises(InternalInvariantError, match="un-peel at layer 1"):
+            trace_stages(trace)
+
     def test_empty_trace_returns_core(self):
         part = make_partition([[1, -2]])
         trace = peel(part, Side.LEFT)
@@ -317,3 +332,28 @@ def test_trace_rebuilds_input_and_grounds_partition(part):
         assert not layer.side_points & covered
         covered |= layer.singletons | layer.side_points
     assert covered == set(trace.original_ground)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(partitions(max_n=300), nested_partitions(max_n=300)))
+def test_kernel_at_scale(part):
+    # far past the exhaustive range: the swap, both round trips, and the
+    # stage-by-stage patch agreeing with psi
+    st = statistics(part)
+    image = psi(part)
+    ist = statistics(image)
+    assert (ist.singletons, ist.adjacencies) == (st.adjacencies, st.singletons)
+    assert psi_inverse(image) == part
+    assert involution(involution(part)) == part
+    assert patch_stages(peel(part, Side.LEFT), Side.RIGHT)[-1] == image
+
+
+def test_deep_family_peels_one_layer_per_element():
+    # 1,-n / 2,n-1 / 3,n-2 / ... loses one element per left-peel layer
+    n = 200
+    blocks = [[i, n + 1 - i] for i in range(2, n // 2 + 1)] + [[1, -n]]
+    part = make_partition(blocks)
+    assert len(peel(part, Side.LEFT).layers) == n - 2
+    image = psi(part)
+    assert psi_inverse(image) == part
+    assert involution(involution(part)) == part

@@ -56,9 +56,7 @@ class InternalInvariantError(RuntimeError):
 class GroundSet:
     """Strictly increasing positive support, read cyclically.
 
-    The successor of the largest element wraps around to the smallest and the
-    predecessor of the smallest wraps to the largest.  Build validated
-    instances with :meth:`of` or :meth:`full`.
+    Build validated instances with :meth:`of` or :meth:`full`.
     """
 
     elements: tuple[int, ...]
@@ -78,20 +76,6 @@ class GroundSet:
         if n < 0:
             raise PartitionError(f"ground size must be nonnegative, got {n}")
         return cls(tuple(range(1, n + 1)))
-
-    def position(self, t: int) -> int:
-        """0-based index of ``t`` among the elements."""
-        i = bisect_left(self.elements, t)
-        if i == len(self.elements) or self.elements[i] != t:
-            raise PartitionError(f"{t} is not a ground element")
-        return i
-
-    def successor(self, t: int) -> int:
-        return self.elements[(self.position(t) + 1) % len(self.elements)]
-
-    def predecessor(self, t: int) -> int:
-        # index -1 wraps to the last element
-        return self.elements[self.position(t) - 1]
 
     def is_full(self) -> bool:
         """True when the support is exactly {1..r}."""
@@ -140,10 +124,6 @@ class SignedBlock:
     @classmethod
     def of(cls, members: Iterable[int]) -> SignedBlock:
         return cls(_normalize_block(members))
-
-    @property
-    def min_abs(self) -> int:
-        return self.members[0]
 
     def __len__(self) -> int:
         return len(self.members)

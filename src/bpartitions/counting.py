@@ -10,7 +10,9 @@ cross-check one another:
 * ``singleton_free_egf``: coefficients of exp((e^(2x) - 1)/2 - x), expanded
   with exact rational arithmetic.
 * ``distribution``: the full joint table of (singleton pairs, adjacency
-  pairs), tabulated by enumerating V_n outright.
+  pairs), tallied by a count-only walk over V_n that keeps both statistics
+  up to date as it places elements; it builds no partition and never calls
+  ``core.statistics``.
 
 Everything is exact; integers are unbounded and series coefficients are
 Fractions.
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import InternalInvariantError, PartitionError, statistics
-from .enumeration import for_each
+from .core import InternalInvariantError, PartitionError
+from .enumeration import walk
 
 
 class TooLargeError(PartitionError):
@@ -163,9 +165,6 @@ class BivariateDistribution:
     n: int
     table: tuple[tuple[int, ...], ...]
 
-    def count(self, s: int, a: int) -> int:
-        return self.table[s][a]
-
     def evaluate(self, x, y):
         """Exact value of sum over (s, a) of count * x**s * y**a."""
         return sum(
@@ -197,9 +196,11 @@ class BivariateDistribution:
 
 
 def distribution(n: int, *, limit: int = 12) -> BivariateDistribution:
-    """Tabulate the joint distribution by enumerating all of V_n.
+    """Tabulate the joint distribution by walking all of V_n.
 
-    The guard reflects |V_n| growth (|V_12| is 487,026,929); pass a larger
+    The counts come from the enumeration walk's running statistics, one
+    tally per leaf, not from ``statistics``; no partition is built.  The
+    guard reflects |V_n| growth (|V_12| is 487,026,929); pass a larger
     ``limit`` deliberately to go past it.
     """
     if n < 1:
@@ -208,9 +209,8 @@ def distribution(n: int, *, limit: int = 12) -> BivariateDistribution:
         raise TooLargeError(f"n={n} exceeds the enumeration guard {limit}")
     table = [[0] * (n + 1) for _ in range(n + 1)]
 
-    def visit(part):
-        st = statistics(part)
-        table[st.singletons][st.adjacencies] += 1
+    def tally(blocks: list[list[int]], s: int, a: int) -> None:
+        table[s][a] += 1
 
-    for_each(n, visit)
+    walk(n, [], n, tally)
     return BivariateDistribution(n, tuple(tuple(row) for row in table))

@@ -64,10 +64,10 @@ def best_of(fn, repeats: int = 5) -> float:
 
 
 @pytest.fixture(scope="module")
-def tables_to_8():
-    """Joint distribution tables for n = 1..8 with the sweep's wall time."""
+def tables_to_9():
+    """Joint distribution tables for n = 1..9 with the sweep's wall time."""
     t0 = time.perf_counter()
-    tables = {n: distribution(n) for n in range(1, 9)}
+    tables = {n: distribution(n) for n in range(1, 10)}
     return tables, time.perf_counter() - t0
 
 
@@ -136,16 +136,17 @@ def test_criterion_3_small_joint_polynomials():
     report(3, f"joint polynomials for n=2,3,4 exact ({elapsed * 1000:.0f} ms)")
 
 
-def test_criterion_4_symmetry_to_8(tables_to_8):
-    tables, elapsed = tables_to_8
+def test_criterion_4_symmetry_to_8(tables_to_9):
+    tables, elapsed = tables_to_9
     for n, dist in tables.items():
         table = dist.table
         for s in range(n + 1):
             for a in range(n + 1):
                 assert table[s][a] == table[a][s], (n, s, a)
     assert tables[8].total == 75905
-    assert elapsed < 30.0, f"n=1..8 sweep took {elapsed:.1f} s"
-    report(4, f"full joint-table symmetry for n=1..8 ({elapsed:.2f} s)")
+    assert tables[9].total == total_count(9)
+    assert elapsed < 30.0, f"n=1..9 sweep took {elapsed:.1f} s"
+    report(4, f"full joint-table symmetry for n=1..9 ({elapsed:.2f} s)")
 
 
 def test_criterion_5_bijection_and_swap_to_7():
@@ -178,14 +179,14 @@ def test_criterion_6_involution_to_7():
     report(6, f"double involution is the identity to n=7 ({elapsed:.2f} s)")
 
 
-def test_criterion_7_corollary_to_8(tables_to_8):
-    tables, _ = tables_to_8
+def test_criterion_7_corollary_to_8(tables_to_9):
+    tables, _ = tables_to_9
     for n, dist in tables.items():
         assert dist.evaluate(0, 1) == dist.evaluate(1, 0)
-    report(7, "singleton-free equals adjacency-free for n=1..8")
+    report(7, "singleton-free equals adjacency-free for n=1..9")
 
 
-def test_criterion_8_counting_triple_agreement(tables_to_8):
+def test_criterion_8_counting_triple_agreement(tables_to_9):
     t0 = time.perf_counter()
     series = singleton_free_egf(30)
     series_elapsed = time.perf_counter() - t0
@@ -195,8 +196,8 @@ def test_criterion_8_counting_triple_agreement(tables_to_8):
     assert (series[2], series[3], series[4]) == (2, 4, 20)
     assert total_count(2) == 3
 
-    tables, _ = tables_to_8
-    for n in range(1, 9):
+    tables, _ = tables_to_9
+    for n in range(1, 10):
         assert tables[n].evaluate(0, 1) == series[n]
         assert tables[n].total == total_count(n)
 

@@ -39,13 +39,6 @@ class TestGroundSet:
         with pytest.raises(PartitionError):
             GroundSet.of([0, 1])
 
-    def test_cyclic_neighbours(self):
-        g = GroundSet.of([3, 5, 7])
-        assert g.successor(3) == 5
-        assert g.successor(7) == 3
-        assert g.predecessor(3) == 7
-        assert g.predecessor(5) == 3
-
     def test_is_full(self):
         assert GroundSet.full(4).is_full()
         assert GroundSet.of([]).is_full()

@@ -16,6 +16,7 @@ from bpartitions import (
     for_each,
     singleton_free_egf,
     singleton_free_ie,
+    statistics,
     stirling2,
     total_count,
 )
@@ -160,6 +161,19 @@ class TestDistribution:
         assert d.is_symmetric()
         assert d.total == total_count(n)
         assert d.evaluate(0, 1) == d.evaluate(1, 0) == singleton_free_ie(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_tally_matches_statistics(self, n):
+        # distribution tallies the walk's running counts; this route builds
+        # every partition and recomputes its statistics from scratch
+        table = [[0] * (n + 1) for _ in range(n + 1)]
+
+        def visit(part):
+            st = statistics(part)
+            table[st.singletons][st.adjacencies] += 1
+
+        for_each(n, visit)
+        assert distribution(n).table == tuple(tuple(row) for row in table)
 
     def test_guard(self):
         with pytest.raises(TooLargeError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bpartitions import for_each, make_partition, statistics, total_count, validate
-from bpartitions.enumeration import EnumerationState, complete, slice
+from bpartitions.enumeration import EnumerationState, complete, slice, walk
 
 
 def brute_stirling(k: int, j: int) -> int:
@@ -106,6 +106,20 @@ class TestSlice:
             complete(state, lambda p: pieces.append(str(p)))
         assert pieces == full
         assert len(pieces) == 49
+
+    @pytest.mark.parametrize("depth", range(1, 6))
+    def test_completions_cover_for_each_at_every_depth(self, depth):
+        pieces = []
+        counts = []
+        for state in slice(5, depth):
+            complete(state, lambda p: pieces.append(str(p)))
+            prefix = [list(b) for b in state.blocks]
+            walk(5, prefix, 5, lambda blocks, s, a: counts.append((s, a)))
+        assert pieces == collect(5)
+        # the running counts, seeded from the prefix, match a full recount
+        expected = []
+        for_each(5, lambda p: expected.append((statistics(p).singletons, statistics(p).adjacencies)))
+        assert counts == expected
 
     def test_depth_bounds(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import sys
 from .core import (
     InternalInvariantError,
     PartitionError,
+    adjacency_pairs,
     complement,
     require_full_ground,
     statistics,
@@ -135,21 +136,19 @@ def _cmd_stats(ns) -> int:
         print(f"s={st.singletons} a={st.adjacencies}")
         if not ns.quiet:
             print(f"singletons: {set_text(st.singleton_elements)}")
-            ts = part.ground.elements
-            r = len(ts)
-            pairs = " ".join(f"({ts[j - 1]},{ts[j % r]})" for j in st.adjacency_positions)
+            pairs = " ".join(f"({t},{u})" for t, u in adjacency_pairs(part, st))
             print(f"adjacencies: {pairs or '-'}")
     return 0
 
 
 def _cmd_map(ns) -> int:
-    if ns.command == "complement":
-        for text in _iter_inputs(ns):
-            part = _parse(ns, text)
-            n = ns.n if ns.n is not None else len(part.ground)
-            print(complement(part, n))
-        return 0
-    fn = {"psi": psi, "psi-inv": psi_inverse, "involution": involution}[ns.command]
+    # _parse has already checked that a given --n is the ground's size.
+    fn = {
+        "psi": psi,
+        "psi-inv": psi_inverse,
+        "involution": involution,
+        "complement": lambda part: complement(part, len(part.ground)),
+    }[ns.command]
     for text in _iter_inputs(ns):
         print(fn(_parse(ns, text)))
     return 0

@@ -23,7 +23,6 @@ involution and preserves both statistics.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -88,10 +87,6 @@ class GroundSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
-    def __contains__(self, t: object) -> bool:
-        i = bisect_left(self.elements, t)
-        return i < len(self.elements) and self.elements[i] == t
-
 
 def _normalize_block(members: Iterable[int]) -> tuple[int, ...]:
     ms = sorted(members, key=abs)
@@ -124,12 +119,6 @@ class SignedBlock:
     @classmethod
     def of(cls, members: Iterable[int]) -> SignedBlock:
         return cls(_normalize_block(members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,19 +251,24 @@ def statistics(part: SignedPartition) -> Statistics:
     return Statistics(len(singles), len(positions), tuple(singles), tuple(positions))
 
 
+def adjacency_pairs(part: SignedPartition, stats: Statistics) -> tuple[tuple[int, int], ...]:
+    """The adjacency pairs (t_j, t_{j+1}) of ``part`` in position order.
+
+    ``stats`` must be ``statistics(part)``; callers pass the one they hold.
+    """
+    ts = part.ground.elements
+    r = len(ts)
+    return tuple((ts[j - 1], ts[j % r]) for j in stats.adjacency_positions)
+
+
 def left_points(part: SignedPartition) -> tuple[int, ...]:
     """Sorted first members t_j of all adjacency pairs (t_j, t_{j+1})."""
-    stats = statistics(part)
-    ts = part.ground.elements
-    return tuple(ts[j - 1] for j in stats.adjacency_positions)
+    return tuple(t for t, _ in adjacency_pairs(part, statistics(part)))
 
 
 def right_points(part: SignedPartition) -> tuple[int, ...]:
     """Sorted second members t_{j+1} of all adjacency pairs (t_j, t_{j+1})."""
-    stats = statistics(part)
-    ts = part.ground.elements
-    r = len(ts)
-    return tuple(sorted(ts[j % r] for j in stats.adjacency_positions))
+    return tuple(sorted(u for _, u in adjacency_pairs(part, statistics(part))))
 
 
 def require_full_ground(part: SignedPartition, n: int | None = None) -> int:

@@ -73,8 +73,7 @@ class RationalSeries:
     """Truncated power series with exact Fraction coefficients.
 
     ``coeffs[k]`` multiplies x**k; the truncation order is len(coeffs) - 1.
-    Addition and multiplication truncate to the smaller order of the two
-    operands; ``exp`` keeps the order and requires a zero constant term.
+    ``exp`` keeps the order and requires a zero constant term.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -85,23 +84,6 @@ class RationalSeries:
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k]
-
-    def __add__(self, other: RationalSeries) -> RationalSeries:
-        m = min(self.order, other.order)
-        return RationalSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(m + 1)))
-
-    def __mul__(self, other: RationalSeries) -> RationalSeries:
-        m = min(self.order, other.order)
-        out = [Fraction(0)] * (m + 1)
-        for i in range(m + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RationalSeries(tuple(out))
 
     def exp(self) -> RationalSeries:
         """exp of a series with zero constant term, to the same order.
@@ -167,12 +149,7 @@ class BivariateDistribution:
 
     def evaluate(self, x, y):
         """Exact value of sum over (s, a) of count * x**s * y**a."""
-        return sum(
-            c * x**s * y**a
-            for s, row in enumerate(self.table)
-            for a, c in enumerate(row)
-            if c
-        )
+        return sum(c * x**s * y**a for s, a, c in self.terms())
 
     def is_symmetric(self) -> bool:
         return all(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import GroundSet, SignedBlock, SignedPartition, make_partition
+from .core import GroundSet, SignedBlock, SignedPartition
 
 Visitor = Callable[[SignedPartition], object]
 Leaf = Callable[[list[list[int]], int, int], object]
@@ -34,14 +34,6 @@ class EnumerationState:
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def as_partition(self) -> SignedPartition:
-        """The partial assignment as a partition over {1..depth}."""
-        return make_partition([list(b) for b in self.blocks])
 
 
 class _Stop(Exception):

@@ -24,7 +24,9 @@ After every patch step the construction is checked: the layer's side points
 must be exactly the singleton set of the new stage and the layer's singletons
 exactly its side-point set on the attach side.  That exchange is what makes
 the inverse peel retrace the stages, so a violation raises
-:class:`~bpartitions.core.InternalInvariantError`.
+:class:`~bpartitions.core.InternalInvariantError`.  A single
+:func:`patch_step` is :func:`patch` on a one-layer trace and is checked the
+same way.
 
 Every entry point runs on one private array kernel.  A stage is a sorted
 ground plus one integer key per position; a peel step is a scan for the
@@ -276,19 +278,18 @@ def patch_step(
     The layer's singletons are absorbed as anchored runs, so they become side
     points of the result; the layer's side points come back as singleton
     pairs.  ``attach`` must be the side opposite the one the layer was peeled
-    from.
+    from.  This is :func:`patch` on a one-layer trace, so the result is
+    checked like every patch stage: a layer that does not swap its roles
+    raises :class:`InternalInvariantError`.
     """
     if attach is layer.side:
         raise MalformedLayerError("attach side must be opposite the peel side")
-    runs, fresh = layer.singletons, layer.side_points
-    ts, keys = _stage(stage)
-    merged = _merge(ts, runs, fresh)
+    merged = _merge(list(stage.ground), layer.singletons, layer.side_points)
     if tuple(merged) != target_ground.elements:
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
-    out, _ = _graft(ts, keys, len(stage.blocks), merged, runs, fresh, attach)
-    return _materialize(merged, out)
+    return patch(PeelTrace((layer,), stage, target_ground), attach)
 
 
 def _unfold(trace: PeelTrace, attach: Side | None) -> Iterator[tuple[list[int], list[int]]]:

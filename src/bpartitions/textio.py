@@ -18,7 +18,7 @@ import re
 from typing import Iterable
 
 from .core import GroundSet, PartitionError, SignedPartition, make_partition
-from .peelpatch import PeelTrace, Side, patch_stages, trace_stages
+from .peelpatch import PeelLayer, PeelTrace, Side, patch_stages, trace_stages
 
 
 class ParseError(PartitionError):
@@ -97,21 +97,46 @@ def set_text(elements: Iterable[int]) -> str:
     return ",".join(str(t) for t in items) if items else "-"
 
 
-def _table(header: tuple[str, ...], rows: list[tuple[str, ...]], tail: str) -> str:
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    lines = [
-        " | ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
-        for cells in [header, *rows]
-    ]
-    lines.append(tail)
-    return "\n".join(lines)
+def _render(
+    pairs: list[tuple[PeelLayer, SignedPartition]],
+    column: str,
+    terminal: str,
+    final: SignedPartition,
+    mode: str,
+) -> str:
+    """One row or record per (layer, partition) pair, then a terminal line.
 
-
-def _points_label(side: Side) -> str:
-    return "L_j" if side is Side.LEFT else "R_j"
+    ``column`` names the partition column and ``terminal`` the closing record,
+    which carries ``final``.
+    """
+    if mode == "records":
+        lines = [
+            json.dumps(
+                {
+                    "step": layer.step,
+                    "singletons": sorted(layer.singletons),
+                    "side_points": sorted(layer.side_points),
+                    "side": layer.side.value,
+                    column: str(part),
+                }
+            )
+            for layer, part in pairs
+        ]
+        lines.append(json.dumps({terminal: str(final)}))
+        return "\n".join(lines)
+    if mode != "table":
+        raise ValueError(f"unknown trace format {mode!r}")
+    tail = f"{terminal}: {final}"
+    if not pairs:
+        return tail
+    points = "L_j" if pairs[0][0].side is Side.LEFT else "R_j"
+    rows = [("j", "S_j", points, column)] + [
+        (str(layer.step), set_text(layer.singletons), set_text(layer.side_points), str(part))
+        for layer, part in pairs
+    ]
+    widths = [max(map(len, cells)) for cells in zip(*rows)]
+    lines = [" | ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() for cells in rows]
+    return "\n".join([*lines, tail])
 
 
 def format_trace(trace: PeelTrace, mode: str = "table") -> str:
@@ -121,33 +146,7 @@ def format_trace(trace: PeelTrace, mode: str = "table") -> str:
     side_points, side, remainder, then a final ``{"core": ...}`` record.
     """
     stages = trace_stages(trace)
-    pairs = list(zip(trace.layers, stages[1:]))
-    if mode == "records":
-        lines = [
-            json.dumps(
-                {
-                    "step": layer.step,
-                    "singletons": sorted(layer.singletons),
-                    "side_points": sorted(layer.side_points),
-                    "side": layer.side.value,
-                    "remainder": str(stage),
-                }
-            )
-            for layer, stage in pairs
-        ]
-        lines.append(json.dumps({"core": str(trace.core)}))
-        return "\n".join(lines)
-    if mode != "table":
-        raise ValueError(f"unknown trace format {mode!r}")
-    tail = f"core: {trace.core}"
-    if not pairs:
-        return tail
-    rows = [
-        (str(layer.step), set_text(layer.singletons), set_text(layer.side_points), str(stage))
-        for layer, stage in pairs
-    ]
-    header = ("j", "S_j", _points_label(trace.layers[0].side), "remainder")
-    return _table(header, rows, tail)
+    return _render(list(zip(trace.layers, stages[1:])), "remainder", "core", trace.core, mode)
 
 
 def format_patch_stages(trace: PeelTrace, attach: Side, mode: str = "table") -> str:
@@ -157,31 +156,4 @@ def format_patch_stages(trace: PeelTrace, attach: Side, mode: str = "table") -> 
     from the core upward; the terminal line carries the final partition.
     """
     stages = patch_stages(trace, attach)
-    pairs = list(zip(reversed(trace.layers), stages))
-    result = stages[-1]
-    if mode == "records":
-        lines = [
-            json.dumps(
-                {
-                    "step": layer.step,
-                    "singletons": sorted(layer.singletons),
-                    "side_points": sorted(layer.side_points),
-                    "side": layer.side.value,
-                    "stage": str(stage),
-                }
-            )
-            for layer, stage in pairs
-        ]
-        lines.append(json.dumps({"result": str(result)}))
-        return "\n".join(lines)
-    if mode != "table":
-        raise ValueError(f"unknown trace format {mode!r}")
-    tail = f"result: {result}"
-    if not pairs:
-        return tail
-    rows = [
-        (str(layer.step), set_text(layer.singletons), set_text(layer.side_points), str(stage))
-        for layer, stage in pairs
-    ]
-    header = ("j", "S_j", _points_label(trace.layers[0].side), "stage")
-    return _table(header, rows, tail)
+    return _render(list(zip(reversed(trace.layers), stages)), "stage", "result", stages[-1], mode)

@@ -5,7 +5,8 @@ block-pair histogram while checking per-partition properties: canonical form,
 text round trip, the complement involution, the peel/patch round trips with
 their statistic swaps, the per-stage swap, and the double application of the
 complement-conjugated map.  Aggregate counts are then reconciled against the
-closed formulas and the generating function.
+closed formulas and the generating function.  An exception is charged to the
+property whose check raised it, and the witness names the failing call.
 
 Sweeps can be split across processes along enumeration slices; slices are
 merged in a fixed order, so the output never depends on the worker count.
@@ -18,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import complement, statistics, validate
+from .core import InternalInvariantError, adjacency_pairs, complement, statistics, validate
 from .counting import (
     BivariateDistribution,
     singleton_free_egf,
@@ -70,6 +71,35 @@ class _Accumulator:
             self.witnesses[prop] = f"witness {text}{suffix}"
 
 
+class _Charge:
+    """A ``with`` block that charges any exception raised in it to one property."""
+
+    def __init__(self, acc: _Accumulator, prop: str, text: str):
+        self.acc, self.prop, self.text = acc, prop, text
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        failed = isinstance(exc, Exception)
+        if failed:
+            self.acc.fail(self.prop, self.text, str(exc))
+        return failed
+
+
+def _call(name: str, fn, *args):
+    """``fn(*args)``; an exception it raises becomes a failure that names ``name``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise InternalInvariantError(f"{name} raised {type(exc).__name__}: {exc}") from exc
+
+
+def _expect(ok: bool, detail: str = "") -> None:
+    if not ok:
+        raise InternalInvariantError(detail)
+
+
 def _inspect(part, acc: _Accumulator) -> None:
     n = acc.n
     text = str(part)
@@ -79,59 +109,56 @@ def _inspect(part, acc: _Accumulator) -> None:
     if acc.texts is not None:
         acc.texts.add(text)
 
-    try:
-        validate(part)
-        ts = part.ground.elements
-        r = len(ts)
-        lp = {ts[j - 1] for j in st.adjacency_positions}
-        rp = {ts[j % r] for j in st.adjacency_positions} if r else set()
-        if not (len(lp) == len(rp) == st.adjacencies):
-            acc.fail("validity", text, "point sets do not match the adjacency count")
-        if r >= 2 and (lp | rp) & set(st.singleton_elements):
-            acc.fail("validity", text, "singletons overlap adjacency points")
-    except Exception as exc:
-        acc.fail("validity", text, str(exc))
+    with _Charge(acc, "validity", text):
+        _call("validate", validate, part)
+        pairs = _call("adjacency_pairs", adjacency_pairs, part, st)
+        lp, rp = {t for t, _ in pairs}, {u for _, u in pairs}
+        _expect(len(lp) == len(rp) == st.adjacencies, "point sets do not match the adjacency count")
+        overlap = len(part.ground) >= 2 and (lp | rp) & set(st.singleton_elements)
+        _expect(not overlap, "singletons overlap adjacency points")
 
     if acc.roundtrip:
-        try:
-            if parse_partition(text) != part:
-                acc.fail("textio-roundtrip", text)
-        except Exception as exc:
-            acc.fail("textio-roundtrip", text, str(exc))
+        with _Charge(acc, "textio-roundtrip", text):
+            _expect(_call("parse_partition", parse_partition, text) == part)
 
-    try:
-        mirrored = complement(part, n)
-        mst = statistics(mirrored)
-        if (mst.singletons, mst.adjacencies) != (st.singletons, st.adjacencies):
-            acc.fail("complement-involution", text, "statistics changed")
-        elif complement(mirrored, n) != part:
-            acc.fail("complement-involution", text, "double complement differs")
-    except Exception as exc:
-        acc.fail("complement-involution", text, str(exc))
+    with _Charge(acc, "complement-involution", text):
+        mirrored = _call("complement", complement, part, n)
+        mst = _call("statistics", statistics, mirrored)
+        same = (mst.singletons, mst.adjacencies) == (st.singletons, st.adjacencies)
+        _expect(same, "statistics changed")
+        _expect(_call("complement", complement, mirrored, n) == part, "double complement differs")
 
+    # The trace and its patch stages are the input of every remaining property.
     try:
-        trace = peel(part, Side.LEFT)
-        rebuilt = trace_stages(trace)
-        if rebuilt[0] != part:
-            acc.fail("per-stage-swap", text, "trace does not rebuild its input")
-        forward = patch_stages(trace, Side.RIGHT)
-        image = forward[-1]
-        ist = statistics(image)
-        if (ist.singletons, ist.adjacencies) != (st.adjacencies, st.singletons):
-            acc.fail("psi-statistic-swap", text)
+        trace = _call("peel", peel, part, Side.LEFT)
+        forward = _call("patch_stages", patch_stages, trace, Side.RIGHT)
+    except InternalInvariantError as exc:
+        for prop in ("psi-statistic-swap", "psi-round-trip", "involution", "per-stage-swap"):
+            acc.fail(prop, text, str(exc))
+        return
+    image = forward[-1]
+
+    with _Charge(acc, "psi-statistic-swap", text):
+        ist = _call("statistics", statistics, image)
+        _expect((ist.singletons, ist.adjacencies) == (st.adjacencies, st.singletons))
+
+    with _Charge(acc, "psi-round-trip", text):
+        _expect(_call("psi_inverse", psi_inverse, image) == part)
+        _expect(_call("psi", psi, _call("psi_inverse", psi_inverse, part)) == part)
+
+    with _Charge(acc, "involution", text):
+        mirrored = _call("complement", complement, image, n)
+        _expect(_call("complement", complement, _call("psi", psi, mirrored), n) == part)
+
+    with _Charge(acc, "per-stage-swap", text):
+        rebuilt = _call("trace_stages", trace_stages, trace)
+        _expect(rebuilt[0] == part, "trace does not rebuild its input")
         k = len(trace.layers)
         for idx in range(k + 1):
-            a = statistics(forward[idx])
-            b = statistics(rebuilt[k - idx])
+            a = _call("statistics", statistics, forward[idx])
+            b = _call("statistics", statistics, rebuilt[k - idx])
             if (a.singletons, a.adjacencies) != (b.adjacencies, b.singletons):
-                acc.fail("per-stage-swap", text, f"stage {k - idx}")
-                break
-        if psi_inverse(image) != part or psi(psi_inverse(part)) != part:
-            acc.fail("psi-round-trip", text)
-        if complement(psi(complement(image, n)), n) != part:
-            acc.fail("involution", text)
-    except Exception as exc:
-        acc.fail("psi-round-trip", text, str(exc))
+                raise InternalInvariantError(f"stage {k - idx}")
 
 
 def _sweep_slice(args: tuple) -> tuple:
@@ -239,12 +266,8 @@ def iter_suite(max_n: int, jobs: int = 1) -> Iterator[Report]:
             "" if not bad else f"wrong count for {2 * bad[0]} blocks",
         )
         dist = BivariateDistribution(n, tuple(tuple(row) for row in res.table))
-        yield Report(
-            n,
-            "polynomial-symmetry",
-            dist.is_symmetric(),
-            "" if dist.is_symmetric() else "joint table is not symmetric",
-        )
+        ok = dist.is_symmetric()
+        yield Report(n, "polynomial-symmetry", ok, "" if ok else "joint table is not symmetric")
         sf_enum = dist.evaluate(0, 1)
         af_enum = dist.evaluate(1, 0)
         yield Report(
@@ -262,7 +285,3 @@ def iter_suite(max_n: int, jobs: int = 1) -> Iterator[Report]:
             "" if ok else f"enumeration {sf_enum}, inclusion-exclusion {sf_ie}, series {egf[n]}",
         )
 
-
-def run_suite(max_n: int, jobs: int = 1) -> list[Report]:
-    """Collect the whole suite; convenience wrapper over :func:`iter_suite`."""
-    return list(iter_suite(max_n, jobs))

@@ -96,8 +96,8 @@ class TestSlice:
 
     def test_states_are_valid_prefixes(self):
         for state in slice(4, 3):
-            assert state.depth == 3
-            validate(state.as_partition())
+            assert sum(map(len, state.blocks)) == 3
+            validate(make_partition(state.blocks))
 
     def test_completions_cover_for_each_in_order(self):
         full = collect(4)

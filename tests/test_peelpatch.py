@@ -172,6 +172,27 @@ class TestPatchStep:
         with pytest.raises(AnchorMissingError):
             patch_step(stage, layer, Side.RIGHT, GroundSet.of([2, 3, 4]))
 
+    def test_matches_every_genuine_patch_stage(self):
+        # n = 1..6, both sides: each step rebuilds the next stage of patch_stages
+        for n in range(1, 7):
+            parts = []
+            for_each(n, parts.append)
+            for part in parts:
+                for side in Side:
+                    trace = peel(part, side)
+                    attach = side.opposite
+                    stages = patch_stages(trace, attach)
+                    for i, layer in enumerate(reversed(trace.layers)):
+                        out = patch_step(stages[i], layer, attach, stages[i + 1].ground)
+                        assert out == stages[i + 1]
+
+    def test_a_step_that_breaks_the_swap_is_rejected(self):
+        # patching {2} after 1 and 4 as a fresh singleton gives 1,2 / 3 / 4,
+        # whose singletons are {3, 4}, not the layer's side points {4}
+        layer = PeelLayer(1, frozenset({2}), frozenset({4}), Side.LEFT)
+        with pytest.raises(InternalInvariantError, match="patch at layer 1"):
+            patch_step(parse_partition("1 / 3"), layer, Side.RIGHT, GroundSet.full(4))
+
 
 class TestPatch:
     def test_worked_example_stages(self, big):

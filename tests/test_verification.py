@@ -6,11 +6,11 @@ import pytest
 
 import bpartitions.verification as verification
 from bpartitions import make_partition
-from bpartitions.verification import Report, iter_suite, run_suite, sweep
+from bpartitions.verification import Report, iter_suite, sweep
 
 
 def test_suite_passes_cleanly():
-    reports = run_suite(4)
+    reports = list(iter_suite(4))
     assert reports and all(r.ok for r in reports)
     names = {r.name for r in reports}
     assert {
@@ -77,9 +77,33 @@ def test_broken_complement_is_caught(monkeypatch):
     assert any(not r.ok for r in reports)
 
 
+PEEL_PROPERTIES = {"psi-statistic-swap", "psi-round-trip", "involution", "per-stage-swap"}
+
+
+@pytest.mark.parametrize(
+    "call, charged",
+    [
+        ("psi_inverse", {"psi-round-trip"}),
+        ("trace_stages", {"per-stage-swap"}),
+        # the image of psi is the last patch stage: every peel property needs it
+        ("patch_stages", PEEL_PROPERTIES),
+        ("peel", PEEL_PROPERTIES),
+    ],
+)
+def test_an_exception_is_charged_to_the_property_that_raised(monkeypatch, call, charged):
+    def broken(*args):
+        raise RuntimeError("sabotaged")
+
+    monkeypatch.setattr(verification, call, broken)
+    failed = {r.name: r.detail for r in iter_suite(3) if not r.ok}
+    assert set(failed) == charged
+    for detail in failed.values():
+        assert f"{call} raised RuntimeError: sabotaged" in detail
+
+
 def test_rejects_bad_max_n():
     with pytest.raises(ValueError):
-        run_suite(0)
+        list(iter_suite(0))
 
 
 def test_report_is_frozen():

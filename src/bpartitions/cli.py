@@ -17,7 +17,13 @@ from .core import (
     require_full_ground,
     statistics,
 )
-from .counting import distribution, singleton_free_egf, singleton_free_ie, total_count
+from .counting import (
+    DISTRIBUTION_LIMIT,
+    distribution,
+    singleton_free_egf,
+    singleton_free_ie,
+    total_count,
+)
 from .enumeration import for_each
 from .peelpatch import Side, involution, peel, psi, psi_inverse
 from .textio import format_patch_stages, format_trace, parse_partition, set_text
@@ -79,7 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="joint distribution coefficients and symmetry verdict")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=12, help="enumeration size guard")
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=DISTRIBUTION_LIMIT,
+        help="size guard: largest n for the closed-form table (default %(default)s)",
+    )
     p.set_defaults(handler=_cmd_poly)
 
     p = sub.add_parser("count", help="exact counts")

@@ -5,8 +5,9 @@ block-pair histogram while checking per-partition properties: canonical form,
 text round trip, the complement involution, the peel/patch round trips with
 their statistic swaps, the per-stage swap, and the double application of the
 complement-conjugated map.  Aggregate counts are then reconciled against the
-closed formulas and the generating function.  An exception is charged to the
-property whose check raised it, and the witness names the failing call.
+closed formulas, the closed-form joint table and the generating function.  An
+exception is charged to the property whose check raised it, and the witness
+names the failing call.
 
 Sweeps can be split across processes along enumeration slices; slices are
 merged in a fixed order, so the output never depends on the worker count.
@@ -22,6 +23,7 @@ from typing import Iterator
 from .core import InternalInvariantError, adjacency_pairs, complement, statistics, validate
 from .counting import (
     BivariateDistribution,
+    distribution,
     singleton_free_egf,
     singleton_free_ie,
     stirling2,
@@ -266,8 +268,12 @@ def iter_suite(max_n: int, jobs: int = 1) -> Iterator[Report]:
             "" if not bad else f"wrong count for {2 * bad[0]} blocks",
         )
         dist = BivariateDistribution(n, tuple(tuple(row) for row in res.table))
-        ok = dist.is_symmetric()
-        yield Report(n, "polynomial-symmetry", ok, "" if ok else "joint table is not symmetric")
+        problems = []
+        if not dist.is_symmetric():
+            problems.append("joint table is not symmetric")
+        if dist != distribution(n, limit=n):
+            problems.append("joint table differs from the closed form")
+        yield Report(n, "polynomial-symmetry", not problems, "; ".join(problems))
         sf_enum = dist.evaluate(0, 1)
         af_enum = dist.evaluate(1, 0)
         yield Report(

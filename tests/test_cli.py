@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from bpartitions import total_count
 from bpartitions.cli import run
 from conftest import BIG, BIG_IMAGE, BIG_MIRROR, BIG_MIRROR_IMAGE
 
@@ -119,6 +120,18 @@ class TestPoly:
         code, _, err = invoke(capsys, "poly", "--n", "5", "--limit", "4")
         assert code == 2
         assert "error" in err
+
+    def test_past_the_reach_of_enumeration(self, capsys):
+        code, out, _ = invoke(capsys, "poly", "--n", "13")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "SYMMETRIC"
+        table = {}
+        for line in lines[:-1]:
+            s, a, c = map(int, line.split())
+            table[s, a] = c
+        assert all(table.get((a, s)) == c for (s, a), c in table.items())
+        assert sum(table.values()) == total_count(13)
 
 
 class TestCount:

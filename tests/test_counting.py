@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -20,7 +21,8 @@ from bpartitions import (
     stirling2,
     total_count,
 )
-from bpartitions.counting import _egf_exponent
+from bpartitions.counting import _egf_exponent, markings
+from bpartitions.enumeration import walk
 
 
 def brute_stirling(k: int, j: int) -> int:
@@ -157,8 +159,14 @@ class TestDistribution:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_walk_tally_matches_statistics(self, n):
-        # distribution tallies the walk's running counts; this route builds
-        # every partition and recomputes its statistics from scratch
+        # three routes: the walk's running counts, statistics recomputed on
+        # every built partition, and the closed form
+        tally = [[0] * (n + 1) for _ in range(n + 1)]
+
+        def leaf(blocks, s, a):
+            tally[s][a] += 1
+
+        walk(n, [], n, leaf)
         table = [[0] * (n + 1) for _ in range(n + 1)]
 
         def visit(part):
@@ -166,10 +174,81 @@ class TestDistribution:
             table[st.singletons][st.adjacencies] += 1
 
         for_each(n, visit)
+        assert tally == table
         assert distribution(n).table == tuple(tuple(row) for row in table)
+
+    def test_closed_form_beyond_enumeration(self):
+        # sizes no walk reaches: the table against the counting pipelines
+        series = singleton_free_egf(60)
+        free = [singleton_free_ie(j) for j in range(61)]
+        for n in range(1, 61):
+            d = distribution(n)
+            assert d.is_symmetric(), n
+            assert d.total == total_count(n), n
+            for s, row in enumerate(d.table):
+                assert sum(row) == comb(n, s) * free[n - s], (n, s)
+            assert d.evaluate(0, 1) == d.evaluate(1, 0) == series[n], n
 
     def test_guard(self):
         with pytest.raises(TooLargeError):
             distribution(3, limit=2)
         with pytest.raises(ValueError):
             distribution(0)
+
+
+def brute_markings(n):
+    """c_n(k, m) over all vertex and edge subsets; edge i joins i and i + 1 mod n."""
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    full = (1 << n) - 1
+    for edges in range(1 << n):
+        touched = edges | ((edges << 1) | (edges >> (n - 1))) & full
+        for vertices in range(1 << n):
+            if not vertices & touched:
+                counts[bin(vertices).count("1")][bin(edges).count("1")] += 1
+    return counts
+
+
+def transfer_markings(upto):
+    """c_n(k, m) for n = 1..upto from a walk over the cycle's vertex letters.
+
+    Each vertex carries 0 (unmarked), V (marked) or E (its outgoing edge
+    marked); E followed by V is forbidden, also from the last letter to the
+    first.  A polynomial is a Counter over (k, m).
+    """
+
+    def step(p, q):
+        # p, q: words ending in a letter other than E, and in E
+        both = p + q
+        grown = Counter({(k + 1, m): c for (k, m), c in p.items()})
+        return both + grown, Counter({(k, m + 1): c for (k, m), c in both.items()})
+
+    first_v = (Counter({(1, 0): 1}), Counter())
+    first_other = (Counter({(0, 0): 1}), Counter({(0, 1): 1}))
+    out = {1: first_v[0] + first_other[0] + first_other[1]}
+    for n in range(2, upto + 1):
+        first_v, first_other = step(*first_v), step(*first_other)
+        # a word that starts with V may not end in E
+        out[n] = first_v[0] + first_other[0] + first_other[1]
+    return out
+
+
+class TestMarkings:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_brute_force(self, n):
+        counts = brute_markings(n)
+        rows = markings(n)
+        for k in range(n + 1):
+            assert rows[k] == counts[k][: n - k + 1]
+            assert not any(counts[k][n - k + 1 :])
+
+    def test_symmetric_and_matches_transfer_walk(self):
+        walked = transfer_markings(60)
+        for n in range(1, 61):
+            rows = markings(n)
+            for k in range(n + 1):
+                for m in range(n - k + 1):
+                    assert rows[k][m] == rows[m][k] == walked[n][k, m], (n, k, m)
+
+    def test_rejects_empty_cycle(self):
+        with pytest.raises(ValueError):
+            markings(0)

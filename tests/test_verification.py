@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import bpartitions.verification as verification
-from bpartitions import make_partition
+from bpartitions import BivariateDistribution, make_partition, total_count
 from bpartitions.verification import Report, iter_suite, sweep
 
 
@@ -64,6 +64,20 @@ def test_broken_map_is_caught(monkeypatch):
     monkeypatch.setattr(verification, "psi", lambda part: part)
     reports = [r for r in iter_suite(2) if r.name == "psi-round-trip"]
     assert any(not r.ok for r in reports)
+
+
+def test_broken_closed_form_is_caught(monkeypatch):
+    # sabotage: a symmetric table that is not the enumerated one
+    def broken(n, *, limit):
+        table = [[0] * (n + 1) for _ in range(n + 1)]
+        table[0][0] = total_count(n)
+        return BivariateDistribution(n, tuple(tuple(row) for row in table))
+
+    monkeypatch.setattr(verification, "distribution", broken)
+    failed = {(r.n, r.name): r.detail for r in iter_suite(3) if not r.ok}
+    assert set(failed) == {(n, "polynomial-symmetry") for n in (1, 2, 3)}
+    for detail in failed.values():
+        assert detail == "joint table differs from the closed form"
 
 
 def test_broken_complement_is_caught(monkeypatch):

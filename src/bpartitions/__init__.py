@@ -14,7 +14,6 @@ from .core import (
     InternalInvariantError,
     NotFullGroundError,
     PartitionError,
-    SignedBlock,
     SignedPartition,
     Statistics,
     ZeroBlockError,
@@ -29,7 +28,6 @@ from .core import (
 )
 from .counting import (
     BivariateDistribution,
-    RationalSeries,
     TooLargeError,
     distribution,
     singleton_free_egf,
@@ -71,9 +69,7 @@ __all__ = [
     "PartitionError",
     "PeelLayer",
     "PeelTrace",
-    "RationalSeries",
     "Side",
-    "SignedBlock",
     "SignedPartition",
     "Statistics",
     "TooLargeError",

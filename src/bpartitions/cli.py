@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .core import (
     InternalInvariantError,
@@ -18,7 +19,9 @@ from .core import (
     statistics,
 )
 from .counting import (
+    COUNT_LIMIT,
     DISTRIBUTION_LIMIT,
+    TooLargeError,
     distribution,
     singleton_free_egf,
     singleton_free_ie,
@@ -34,8 +37,16 @@ class _UsageError(Exception):
     pass
 
 
+# Longest argparse message echoed; longer ones lose their middle, since they
+# quote the offending argument and it may be arbitrarily long.
+_MESSAGE_LIMIT = 160
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
+        if len(message) > _MESSAGE_LIMIT:
+            half = _MESSAGE_LIMIT // 2
+            message = f"{message[:half]}...{message[-half:]}"
         raise _UsageError(message)
 
 
@@ -47,7 +58,9 @@ def _add_partition_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="force the ground set {1..N}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _ArgumentParser(
         prog="bpartitions",
         description="Type B set partitions: statistics, the peel-and-patch "
@@ -217,6 +230,8 @@ def _cmd_count(ns) -> int:
         raise _UsageError("--upto must be nonnegative")
     if ns.upto is not None and not ns.egf:
         raise _UsageError("--upto only applies to --egf")
+    if max(ns.n or 0, ns.upto or 0) > COUNT_LIMIT:
+        raise TooLargeError(f"count's size guard caps --n and --upto at {COUNT_LIMIT}")
     if ns.egf:
         upto = ns.upto if ns.upto is not None else ns.n
         if upto is None:

@@ -107,31 +107,19 @@ def _normalize_block(members: Iterable[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class SignedBlock:
-    """One stored representative of a block pair {B, -B}.
-
-    Members are sorted by absolute value and the first member (the one of
-    minimum absolute value) is positive; -B is implicit.
-    """
-
-    members: tuple[int, ...]
-
-    @classmethod
-    def of(cls, members: Iterable[int]) -> SignedBlock:
-        return cls(_normalize_block(members))
-
-
-@dataclass(frozen=True, slots=True)
 class SignedPartition:
     """Canonical symmetric partition: a ground set plus representative blocks.
 
-    Blocks are sorted by minimum absolute value, so two partitions are equal
-    exactly when their stored forms are identical.  Instances are immutable;
-    build them with :func:`make_partition` or ``textio.parse_partition``.
+    Each block is the stored representative of a block pair {B, -B}: a tuple
+    of ints sorted by absolute value whose first member is positive; -B is
+    implicit.  Blocks are sorted by minimum absolute value, so two partitions
+    are equal exactly when their stored forms are identical.  Instances are
+    immutable; build them with :func:`make_partition` or
+    ``textio.parse_partition``.
     """
 
     ground: GroundSet
-    blocks: tuple[SignedBlock, ...]
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def is_empty(self) -> bool:
@@ -140,7 +128,7 @@ class SignedPartition:
     def __str__(self) -> str:
         if not self.blocks:
             return "()"
-        return " / ".join(",".join(str(m) for m in b.members) for b in self.blocks)
+        return " / ".join(",".join(map(str, b)) for b in self.blocks)
 
 
 def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:
@@ -177,7 +165,7 @@ def make_partition(
                 f"blocks cover {len(support)} elements but the ground set has "
                 f"{len(gset)}; {_first_difference(support, gset.elements)}"
             )
-    return SignedPartition(gset, tuple(SignedBlock(b) for b in norm))
+    return SignedPartition(gset, tuple(norm))
 
 
 def validate(part: SignedPartition) -> None:
@@ -193,8 +181,7 @@ def validate(part: SignedPartition) -> None:
         raise InternalInvariantError(f"ground {g} is not strictly increasing")
     covered: list[int] = []
     prev_min = 0
-    for block in part.blocks:
-        ms = block.members
+    for ms in part.blocks:
         if not ms:
             raise InternalInvariantError("empty block")
         if ms[0] < 0:
@@ -238,8 +225,7 @@ def statistics(part: SignedPartition) -> Statistics:
         return Statistics(0, 0, (), ())
     loc: dict[int, tuple[int, int]] = {}
     singles: list[int] = []
-    for bi, block in enumerate(part.blocks):
-        ms = block.members
+    for bi, ms in enumerate(part.blocks):
         if len(ms) == 1:
             singles.append(ms[0])
         for m in ms:
@@ -296,7 +282,7 @@ def complement(part: SignedPartition, n: int) -> SignedPartition:
     """
     require_full_ground(part, n)
     mirrored = [
-        [(n + 1 - abs(m)) * (1 if m > 0 else -1) for m in block.members]
+        [(n + 1 - abs(m)) * (1 if m > 0 else -1) for m in block]
         for block in part.blocks
     ]
     return make_partition(mirrored, part.ground)

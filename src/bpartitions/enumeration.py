@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import GroundSet, SignedBlock, SignedPartition
+from .core import GroundSet, SignedPartition
 
 Visitor = Callable[[SignedPartition], object]
 Leaf = Callable[[list[list[int]], int, int], object]
@@ -91,7 +91,7 @@ def _objects(n: int, visitor: Visitor) -> Leaf:
     ground = GroundSet.full(n)
 
     def leaf(blocks: list[list[int]], s: int, a: int) -> object:
-        return visitor(SignedPartition(ground, tuple(map(SignedBlock, map(tuple, blocks)))))
+        return visitor(SignedPartition(ground, tuple(map(tuple, blocks))))
 
     return leaf
 

@@ -117,7 +117,7 @@ _RUN = -1  # key placeholder for a run element not yet given its anchor's key
 def _stage(part: SignedPartition) -> tuple[list[int], list[int]]:
     key: dict[int, int] = {}
     for label, block in enumerate(part.blocks):
-        for m in block.members:
+        for m in block:
             key[abs(m)] = 2 * label + (m > 0)
     ts = list(part.ground.elements)
     return ts, [key[t] for t in ts]

@@ -71,7 +71,10 @@ def parse_partition(
         m = _ELEMENT.match(s, i)
         if not m:
             raise ParseError("expected an element", i)
-        value = int(m.group())
+        try:
+            value = int(m.group())
+        except ValueError:  # more digits than int() accepts
+            raise ParseError("element has too many digits", i) from None
         if value == 0:
             raise ParseError("elements must be nonzero", i)
         current.append(value)

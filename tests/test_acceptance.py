@@ -223,7 +223,7 @@ def test_criterion_8_counting_triple_agreement(tables_to_9):
 
         def visit(part):
             box[0] += 1
-            if all(len(b.members) > 1 for b in part.blocks):
+            if all(len(b) > 1 for b in part.blocks):
                 box[1] += 1
 
         for_each(n, visit)

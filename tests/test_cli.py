@@ -8,6 +8,7 @@ import pytest
 
 from bpartitions import total_count
 from bpartitions.cli import run
+from bpartitions.counting import COUNT_LIMIT
 from conftest import BIG, BIG_IMAGE, BIG_MIRROR, BIG_MIRROR_IMAGE
 
 
@@ -157,6 +158,23 @@ class TestCount:
         code, _, _ = invoke(capsys, "count", "--n", "3", "--upto", "5")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", str(COUNT_LIMIT + 1)],
+            ["--n", str(COUNT_LIMIT + 1), "--singleton-free"],
+            ["--egf", "--upto", str(COUNT_LIMIT + 1)],
+            ["--egf", "--n", "2000"],
+        ],
+    )
+    def test_size_guard(self, capsys, argv):
+        # The census order, 300, must pass the guard, and |V_1801| is the
+        # first count too long for int-to-text conversion.
+        assert 300 <= COUNT_LIMIT < 1801
+        code, out, err = invoke(capsys, "count", *argv)
+        assert (code, out) == (2, "")
+        assert f"size guard caps --n and --upto at {COUNT_LIMIT}" in err
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -228,6 +246,18 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "stats", "1 / 2", "--n", "2000000")
         assert code == 2
         assert len(err.encode()) < 1024
+
+    def test_huge_element_is_a_parse_error(self, capsys):
+        code, out, err = invoke(capsys, "stats", "1" + "0" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "offset 0" in err
+        assert len(err) < 200
+
+    def test_usage_error_does_not_echo_a_huge_argument(self, capsys):
+        code, _, err = invoke(capsys, "stats", "1", "--n", "9" * 5000)
+        assert code == 1
+        assert err.startswith("usage error: argument --n: invalid int value: '999")
+        assert len(err) < 200
 
     def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         def broken(part):

@@ -12,7 +12,6 @@ from bpartitions import (
     InternalInvariantError,
     NotFullGroundError,
     PartitionError,
-    SignedBlock,
     SignedPartition,
     ZeroBlockError,
     complement,
@@ -53,6 +52,9 @@ class TestMakePartition:
         )
         assert str(part) == BIG
 
+    def test_blocks_are_plain_int_tuples(self):
+        assert make_partition([[2], [-1, 3]]).blocks == ((1, -3), (2,))
+
     def test_negated_representative_is_normalized(self):
         part = make_partition([[-4, 7], [6, -8]], [4, 6, 7, 8])
         assert str(part) == "4,-7 / 6,-8"
@@ -88,7 +90,7 @@ class TestMakePartition:
             make_partition([[0, 1]])
 
     def test_validate_catches_raw_garbage(self):
-        bad = SignedPartition(GroundSet.full(2), (SignedBlock((2,)), SignedBlock((1,))))
+        bad = SignedPartition(GroundSet.full(2), ((2,), (1,)))
         with pytest.raises(InternalInvariantError):
             validate(bad)
 
@@ -157,13 +159,12 @@ class TestComplement:
 
 @given(partitions(max_n=8, full_ground=False))
 def test_reparsing_stored_blocks_is_identity(part):
-    assert make_partition([list(b.members) for b in part.blocks], part.ground) == part
+    assert make_partition([list(b) for b in part.blocks], part.ground) == part
 
 
 @given(partitions(max_n=8, full_ground=False))
 def test_renegated_blocks_normalize_back(part):
-    for block in part.blocks:
-        assert SignedBlock.of([-m for m in block.members]) == block
+    assert make_partition([[-m for m in b] for b in part.blocks], part.ground) == part
 
 
 @given(partitions(max_n=8, full_ground=False))

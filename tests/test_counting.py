@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
@@ -11,7 +10,6 @@ import pytest
 
 from bpartitions import (
     BivariateDistribution,
-    RationalSeries,
     TooLargeError,
     distribution,
     for_each,
@@ -21,7 +19,7 @@ from bpartitions import (
     stirling2,
     total_count,
 )
-from bpartitions.counting import _egf_exponent, markings
+from bpartitions.counting import markings
 from bpartitions.enumeration import walk
 
 
@@ -99,42 +97,16 @@ class TestSingletonFree:
         assert (singleton_free_ie(2), singleton_free_ie(3), singleton_free_ie(4)) == (2, 4, 20)
 
     def test_egf_matches_inclusion_exclusion(self):
-        values = singleton_free_egf(30)
+        values = singleton_free_egf(300)
         assert values[0] == 1
-        for n in range(31):
+        for n in range(301):
             assert values[n] == singleton_free_ie(n)
-
-    def test_exponent_series_sanity(self):
-        # (e^(2x) - 1)/2 - x starts 0 + 0*x + x**2 + ...
-        f = _egf_exponent(5)
-        assert f.coefficient(0) == 0
-        assert f.coefficient(1) == 0
-        assert f.coefficient(2) == 1
-        assert f.coefficient(3) == Fraction(2, 3)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             singleton_free_egf(-1)
         with pytest.raises(ValueError):
             singleton_free_ie(-1)
-
-
-class TestRationalSeries:
-    def s(self, *values):
-        return RationalSeries(tuple(Fraction(v) for v in values))
-
-    def test_exp_inverse_pair(self):
-        f = self.s(0, 1, Fraction(1, 2), Fraction(-1, 3), 2)
-        neg = RationalSeries(tuple(-c for c in f.coeffs))
-        a, b = f.exp().coeffs, neg.exp().coeffs
-        product_ = RationalSeries(
-            tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
-        )
-        assert product_.coeffs == (Fraction(1),) + (Fraction(0),) * 4
-
-    def test_exp_needs_zero_constant(self):
-        with pytest.raises(ValueError):
-            self.s(1, 1).exp()
 
 
 class TestDistribution:

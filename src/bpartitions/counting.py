@@ -46,6 +46,20 @@ class TooLargeError(PartitionError):
     """A size guard tripped: the table or count asked for is too large."""
 
 
+def check_size(n: int, limit: int, what: str) -> None:
+    """Raise :class:`TooLargeError` when ``n`` exceeds the size guard ``limit``.
+
+    The message spells out only short numbers: n and the limit may come
+    straight from command-line arguments with thousands of digits.
+    """
+    if n > limit:
+        raise TooLargeError(f"n={_short(n)} exceeds the size guard {_short(limit)} of {what}")
+
+
+def _short(x: int) -> str:
+    return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
+
+
 # Row k holds S(k, 0..k).  Rows are appended whole, so concurrent readers
 # only ever observe finished rows.
 _stirling_rows: list[list[int]] = [[1]]
@@ -182,8 +196,7 @@ def distribution(n: int, *, limit: int = DISTRIBUTION_LIMIT) -> BivariateDistrib
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if n > limit:
-        raise TooLargeError(f"n={n} exceeds the size guard {limit} of the closed-form table")
+    check_size(n, limit, "the closed-form table")
     table = [[0] * (n + 1) for _ in range(n + 1)]
     if n == 1:
         table[1][1] = 1

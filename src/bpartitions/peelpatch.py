@@ -28,24 +28,30 @@ the inverse peel retrace the stages, so a violation raises
 :func:`patch_step` is :func:`patch` on a one-layer trace and is checked the
 same way.
 
-Every entry point runs on one private array kernel.  A stage is a sorted
-ground plus one integer key per position; a peel step is a scan for the
-layer's singletons and side points followed by a filter of the positions,
-and a patch or un-peel step merges the layer into the ground and hands each
-run the key of its anchor.  The check after each patch step is a fresh scan
-of the new stage.  Canonical :class:`~bpartitions.core.SignedPartition`
+Every entry point runs on one private kernel in which a step costs its own
+layer, not the whole stage.  A stage is a sorted ground plus one integer key
+per element.  A peel keeps cyclic successor and predecessor links and the
+alive members of each label: only the first layer is a full scan, and each
+later one looks only at the elements a removal touched.  A patch or un-peel
+step merges the layer into the ground, finds each run's anchor by bisection,
+and updates the stage's singleton set and adjacency owners at the touched
+positions; the check after the step compares those whole sets with the
+layer.  Peeling and patching a partition of n elements thus costs
+O(n + Σ|layer|·log n) steps of Python, plus a C-level merge of each layer
+into the ground.  Canonical :class:`~bpartitions.core.SignedPartition`
 objects are built only where a public function returns one: the core of a
 :class:`PeelTrace`, each entry of :func:`patch_stages` and
-:func:`trace_stages`, and the results of :func:`patch`, :func:`peel_step` and
-:func:`patch_step`.  So ``psi`` builds two per call however many layers its
-input peels into.
+:func:`trace_stages`, and the results of :func:`patch`, :func:`peel_step`,
+:func:`patch_step`, ``psi`` and ``psi_inverse``.  So ``psi`` builds one per
+call however many layers its input peels into.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     GroundSet,
@@ -105,61 +111,71 @@ class PeelTrace:
 
 
 # A stage is the kernel's form of a partition: its ground as a sorted list ``ts``
-# and one key per position, 2 * label + (sign > 0), where the label names the
-# block pair.  Cyclic neighbours form an adjacency exactly when their keys are
-# equal, and a block is a singleton exactly when its label occurs once.  Keys
-# only compare for equality, so a stage never needs renormalising; a run
-# element takes its anchor's key whatever sign the anchor has in its block.
+# and a dict ``key`` giving each element 2 * label + (sign > 0), where the label
+# names the block pair.  Cyclic neighbours form an adjacency exactly when their
+# keys are equal, and a block is a singleton exactly when its label occurs
+# once.  Keys only compare for equality, so a stage never needs renormalising;
+# a run element takes its anchor's key whatever sign the anchor has in its
+# block.
 
-_RUN = -1  # key placeholder for a run element not yet given its anchor's key
 
-
-def _stage(part: SignedPartition) -> tuple[list[int], list[int]]:
+def _stage(part: SignedPartition) -> tuple[list[int], dict[int, int]]:
     key: dict[int, int] = {}
     for label, block in enumerate(part.blocks):
         for m in block:
             key[abs(m)] = 2 * label + (m > 0)
-    ts = list(part.ground.elements)
-    return ts, [key[t] for t in ts]
+    return list(part.ground.elements), key
 
 
-def _materialize(ts: list[int], keys: list[int]) -> SignedPartition:
+def _materialize(ts: list[int], key: dict[int, int]) -> SignedPartition:
     blocks: dict[int, list[int]] = {}
-    for t, k in zip(ts, keys):
+    for t in ts:
+        k = key[t]
         blocks.setdefault(k >> 1, []).append(t if k & 1 else -t)
     return make_partition(blocks.values(), GroundSet(tuple(ts)))
 
 
-def _scan(ts: list[int], keys: list[int], side: Side) -> tuple[set[int], set[int]]:
-    """Singleton elements and side points of a stage."""
-    count: dict[int, int] = {}
-    for k in keys:
-        count[k] = count.get(k, 0) + 1
-    singles = {t for t, k in zip(ts, keys) if count[k] == 1 and k ^ 1 not in count}
-    following = keys[1:] + keys[:1]
-    owners = ts if side is Side.LEFT else ts[1:] + ts[:1]
-    return singles, {t for t, k, k2 in zip(owners, keys, following) if k == k2}
+def _layers(ts: list[int], key: dict[int, int], side: Side) -> Iterator[PeelLayer]:
+    """The peel layers of the stage ``ts``, numbered from 1.
 
-
-def _peel_sets(
-    ts: list[int], keys: list[int], side: Side
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The sets a peel step would remove, or None when the stage is a core."""
-    singles, points = _scan(ts, keys, side)
-    if not singles and not points:
-        return None
-    if len(ts) == 1:
-        return frozenset(singles), frozenset()
-    if points & singles:
-        raise InternalInvariantError(
-            f"singletons and side points overlap in {_materialize(ts, keys)}"
-        )
-    return frozenset(singles), frozenset(points)
-
-
-def _remove(ts: list[int], keys: list[int], gone: frozenset[int]) -> tuple[list[int], list[int]]:
-    kept = [j for j, t in enumerate(ts) if t not in gone]
-    return [ts[j] for j in kept], [keys[j] for j in kept]
+    Each layer is deleted from ``key`` when the next one is asked for, so an
+    exhausted generator leaves ``key`` holding the core.  Only the first layer
+    is a full scan.  A layer takes every singleton and side point, so the
+    next one holds only elements whose status changed: the last alive member
+    of a label, which is a singleton, and the neighbour whose link now skips
+    a removed run (its predecessor for LEFT, successor for RIGHT), which may
+    be a side point.
+    """
+    following = ts[1:] + ts[:1]
+    succ, pred = dict(zip(ts, following)), dict(zip(following, ts))
+    link, seam = (succ, pred) if side is Side.LEFT else (pred, succ)
+    members: dict[int, set[int]] = {}
+    for t in ts:
+        members.setdefault(key[t] >> 1, set()).add(t)
+    singles = {t for t in ts if len(members[key[t] >> 1]) == 1}
+    points = {t for t in ts if key[t] == key[link[t]]}
+    step = 0
+    while singles or points:
+        if len(key) == 1:
+            points = set()  # the lone element is recorded as a singleton only
+        elif not points.isdisjoint(singles):
+            raise InternalInvariantError(
+                f"singletons and side points overlap in "
+                f"{_materialize([t for t in ts if t in key], key)}"
+            )
+        step += 1
+        yield PeelLayer(step, frozenset(singles), frozenset(points), side)
+        gone = singles | points
+        seams = {seam[u] for u in gone} - gone
+        labels = set()
+        for u in gone:
+            p, q = pred[u], succ[u]
+            succ[p], pred[q] = q, p
+            label = key.pop(u) >> 1
+            members[label].discard(u)
+            labels.add(label)
+        singles = {next(iter(members[label])) for label in labels if len(members[label]) == 1}
+        points = {t for t in seams if key[t] == key[link[t]]}
 
 
 def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLayer, SignedPartition]:
@@ -168,13 +184,13 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     Removal always acts on +x and -x together, so the remainder is again a
     valid symmetric partition without zero-block.
     """
-    ts, keys = _stage(part)
-    sets = _peel_sets(ts, keys, side)
-    if sets is None:
+    ts, key = _stage(part)
+    layer = next(_layers(ts, key, side), None)
+    if layer is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
-    singles, points = sets
-    rest = _materialize(*_remove(ts, keys, singles | points))
-    return PeelLayer(step, singles, points, side), rest
+    gone = layer.singletons | layer.side_points
+    rest = _materialize([t for t in ts if t not in gone], key)
+    return PeelLayer(step, layer.singletons, layer.side_points, side), rest
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -183,88 +199,56 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     A core input yields an empty layer list.  Each step strictly shrinks the
     ground set, so at most r steps occur; the core may be empty.
     """
-    layers: list[PeelLayer] = []
-    ts, keys = _stage(part)
-    while (sets := _peel_sets(ts, keys, side)) is not None:
-        singles, points = sets
-        layers.append(PeelLayer(len(layers) + 1, singles, points, side))
-        ts, keys = _remove(ts, keys, singles | points)
-    core = _materialize(ts, keys) if layers else part
-    return PeelTrace(tuple(layers), core, part.ground)
+    ts, key = _stage(part)
+    layers = tuple(_layers(ts, key, side))
+    core = _materialize([t for t in ts if t in key], key) if layers else part
+    return PeelTrace(layers, core, part.ground)
 
 
-def _merge(ts: list[int], runs: frozenset[int], fresh: frozenset[int]) -> list[int]:
+def _merge(
+    ts: list[int], key: dict[int, int], runs: frozenset[int], fresh: frozenset[int]
+) -> list[int]:
     """The ground of a stage with a layer merged in, checking they are disjoint."""
     added = runs | fresh
     if not added:
         raise MalformedLayerError("layer carries no elements")
     if runs & fresh:
         raise MalformedLayerError("layer singletons and side points overlap")
-    if not added.isdisjoint(ts):
+    if not key.keys().isdisjoint(added):
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
     return sorted(ts + list(added))
 
 
-def _fill_runs(merged: list[int], out: list[int], limit: int, attach: Side) -> None:
-    """Give each maximal cyclic run of ``_RUN`` positions its anchor's key.
+def _anchor(merged: list[int], at: list[int], key: dict[int, int], attach: Side) -> list[int]:
+    """Give each maximal cyclic run of the positions ``at`` its anchor's key.
 
-    The anchor is the run's cyclic predecessor when attaching on the right,
-    its cyclic successor when attaching on the left; it must be a stage
-    element, whose key is below ``limit``.
+    ``at`` lists the run positions in ``merged`` in increasing order.  The
+    anchor is the run's cyclic predecessor when attaching on the right, its
+    cyclic successor when attaching on the left; it must be a stage element,
+    one that has a key.  Returns the anchors.
     """
-    r = len(out)
+    r = len(merged)
     spans: list[list[int]] = []  # [first, last] positions, one per run
-    for p, k in enumerate(out):
-        if k == _RUN:
-            if spans and spans[-1][1] == p - 1:
-                spans[-1][1] = p
-            else:
-                spans.append([p, p])
+    for p in at:
+        if spans and spans[-1][1] == p - 1:
+            spans[-1][1] = p
+        else:
+            spans.append([p, p])
     if len(spans) > 1 and spans[0][0] == 0 and spans[-1][1] == r - 1:
         spans[0][0] = spans.pop()[0]
+    anchors = []
     for first, last in spans:
-        anchor = first - 1 if attach is Side.RIGHT else (last + 1) % r
-        positions = range(first, last + 1 + (r if first > last else 0))
-        key = out[anchor]
-        if key >= limit:
-            run = [merged[p % r] for p in positions]
+        anchor = merged[first - 1] if attach is Side.RIGHT else merged[(last + 1) % r]
+        run = [merged[p % r] for p in range(first, last + 1 + (r if first > last else 0))]
+        if anchor not in key:
             raise AnchorMissingError(
-                f"run {run} is anchored at {merged[anchor]}, which is absent from the stage"
+                f"run {run} is anchored at {anchor}, which is absent from the stage"
             )
-        for p in positions:
-            out[p % r] = key
-
-
-def _graft(
-    ts: list[int],
-    keys: list[int],
-    labels: int,
-    merged: list[int],
-    runs: frozenset[int],
-    fresh: frozenset[int],
-    attach: Side,
-) -> tuple[list[int], int]:
-    """Keys on ``merged`` (see :func:`_merge`) for ``runs`` inserted next to
-    their anchors and ``fresh`` added as singletons.
-
-    ``labels`` bounds the labels in use; returns the keys and the new bound.
-    """
-    if not ts:
-        if runs and fresh:
-            raise MalformedLayerError(
-                "an empty stage accepts only an all-singleton or an all-side-point layer"
-            )
-        if runs:
-            return [2 * labels + 1] * len(merged), labels + 1
-    limit = 2 * labels
-    key_of = dict(zip(ts, keys))
-    key_of.update(zip(fresh, range(limit + 1, limit + 2 * len(fresh), 2)))
-    out = [key_of.get(t, _RUN) for t in merged]
-    if runs:
-        _fill_runs(merged, out, limit, attach)
-    return out, labels + len(fresh)
+        key.update(dict.fromkeys(run, key[anchor]))
+        anchors.append(anchor)
+    return anchors
 
 
 def patch_step(
@@ -284,48 +268,134 @@ def patch_step(
     """
     if attach is layer.side:
         raise MalformedLayerError("attach side must be opposite the peel side")
-    merged = _merge(list(stage.ground), layer.singletons, layer.side_points)
-    if tuple(merged) != target_ground.elements:
+    ts, key = _stage(stage)
+    if tuple(_merge(ts, key, layer.singletons, layer.side_points)) != target_ground.elements:
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
-    return patch(PeelTrace((layer,), stage, target_ground), attach)
+    return _fold(ts, key, len(stage.blocks), (layer,), attach, target_ground.elements, stage)
 
 
-def _unfold(trace: PeelTrace, attach: Side | None) -> Iterator[tuple[list[int], list[int]]]:
-    """The stages from the core up, one per layer in reverse peel order.
+def _unfold(
+    ts: list[int],
+    key: dict[int, int],
+    labels: int,
+    layers: Sequence[PeelLayer],
+    attach: Side | None,
+    ground: tuple[int, ...],
+) -> Iterator[list[int]]:
+    """The grounds of the stages from the core ``ts`` up, one per layer in
+    reverse peel order; ``key`` is updated in place and holds the keys of
+    the stage last yielded, and ``labels`` bounds the labels it uses.
 
     With ``attach`` given, each layer is patched in on that side with the two
     roles interchanged; with None it is un-peeled with its original roles.
+    The last stage must have ``ground``.
+
     Every stage must carry the layer's returning elements as its singleton
-    set and the anchored ones as its side points on the attach side; a fresh
-    scan checks this, and a violation raises :class:`InternalInvariantError`.
+    set and the anchored ones as its side points on the attach side, and a
+    violation raises :class:`InternalInvariantError`.  The stage's whole
+    singleton set and its whole sets of adjacency owners (left and right
+    points) are compared, but they are kept up to date only where a step
+    touches the stage: at the layer's own elements, at the anchors, whose
+    labels grow, and at the pairs of neighbours that involve an inserted
+    position.  That is enough.  An element is a singleton when its label
+    occurs once, and owns an adjacency when its key equals its neighbour's.
+    An untouched element keeps its neighbours, since nothing was inserted
+    next to it, and its label count: only anchor labels grow, and a label
+    that occurred once has its anchor as its only member.  So its status
+    cannot change, and the comparison is the one a fresh scan of the stage
+    would make.
     """
-    ts, keys = _stage(trace.core)
-    labels = len(trace.core.blocks)
-    for layer in reversed(trace.layers):
+    count: dict[int, int] = {}
+    for t in ts:
+        label = key[t] >> 1
+        count[label] = count.get(label, 0) + 1
+    singles = {t for t in ts if count[key[t] >> 1] == 1} if 1 in count.values() else set()
+    following = ts[1:] + ts[:1]
+    lefts = {t for t, u in zip(ts, following) if key[t] == key[u]}
+    # Adjacencies pair left and right points one to one.
+    rights = {u for t, u in zip(ts, following) if key[t] == key[u]} if lefts else set()
+    for layer in reversed(layers):
         if attach is None:
             side, runs, fresh, what = layer.side, layer.side_points, layer.singletons, "un-peel"
         elif attach is layer.side:
             raise MalformedLayerError("attach side must be opposite the peel side")
         else:
             side, runs, fresh, what = attach, layer.singletons, layer.side_points, "patch"
-        merged = _merge(ts, runs, fresh)
-        keys, labels = _graft(ts, keys, labels, merged, runs, fresh, side)
+        merged = _merge(ts, key, runs, fresh)
+        r = len(merged)
+        at = [bisect_left(merged, t) for t in sorted(runs)]  # the layer's positions
+        anchors: list[int] = []
+        if not ts and runs:
+            if fresh:
+                raise MalformedLayerError(
+                    "an empty stage accepts only an all-singleton or an all-side-point layer"
+                )
+            key.update(dict.fromkeys(runs, 2 * labels + 1))
+            count[labels] = 0
+            labels += 1
+        elif runs:
+            anchors = _anchor(merged, at, key, side)
+        for t in runs:
+            count[key[t] >> 1] += 1
+        for t in fresh:
+            key[t] = 2 * labels + 1
+            count[labels] = 1
+            labels += 1
+            at.append(bisect_left(merged, t))
+        for t in (*runs, *fresh, *anchors):
+            if count[key[t] >> 1] == 1:
+                singles.add(t)
+            else:
+                singles.discard(t)
+        for p in at:
+            for t, u in ((merged[p - 1], merged[p]), (merged[p], merged[(p + 1) % r])):
+                if key[t] == key[u]:
+                    lefts.add(t)
+                    rights.add(u)
+                else:
+                    lefts.discard(t)
+                    rights.discard(u)
         ts = merged
-        if len(ts) == 1:
+        if r == 1:
             # The lone element is singleton and side point at once.
             runs = fresh = runs | fresh
-        singles, points = _scan(ts, keys, side)
+        points = lefts if side is Side.LEFT else rights
         if singles != fresh or points != runs:
             raise InternalInvariantError(
                 f"{what} at layer {layer.step} built a stage with singletons "
                 f"{sorted(singles)} and side points {sorted(points)} instead of "
-                f"{sorted(fresh)} / {sorted(runs)}: {_materialize(ts, keys)}"
+                f"{sorted(fresh)} / {sorted(runs)}: {_materialize(ts, key)}"
             )
-        yield ts, keys
-    if tuple(ts) != trace.original_ground.elements:
+        yield ts
+    if tuple(ts) != ground:
         raise GroundMismatchError("trace layers do not rebuild the original ground")
+
+
+def _fold(
+    ts: list[int],
+    key: dict[int, int],
+    labels: int,
+    layers: Sequence[PeelLayer],
+    attach: Side,
+    ground: tuple[int, ...],
+    unchanged: SignedPartition,
+) -> SignedPartition:
+    """Patch ``layers`` into the stage and build only the result; with no
+    layers the stage is returned as ``unchanged``, its partition."""
+    for ts in _unfold(ts, key, labels, layers, attach, ground):
+        pass
+    return _materialize(ts, key) if layers else unchanged
+
+
+def _unfold_trace(
+    trace: PeelTrace, attach: Side | None
+) -> tuple[dict[int, int], Iterator[list[int]]]:
+    """:func:`_unfold` from the core of ``trace``: the keys and the stages."""
+    ts, key = _stage(trace.core)
+    ground = trace.original_ground.elements
+    return key, _unfold(ts, key, len(trace.core.blocks), trace.layers, attach, ground)
 
 
 def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
@@ -337,7 +407,8 @@ def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
     singleton set and the layer's singletons as its side points on the attach
     side; a violation raises :class:`InternalInvariantError`.
     """
-    return (trace.core, *(_materialize(ts, keys) for ts, keys in _unfold(trace, attach)))
+    key, stages = _unfold_trace(trace, attach)
+    return (trace.core, *(_materialize(stage, key) for stage in stages))
 
 
 def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
@@ -346,10 +417,9 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     Only the result is built as a :class:`SignedPartition`; the stages below
     it are checked the same way but never materialised.
     """
-    last = None
-    for last in _unfold(trace, attach):
-        pass
-    return trace.core if last is None else _materialize(*last)
+    ts, key = _stage(trace.core)
+    ground = trace.original_ground.elements
+    return _fold(ts, key, len(trace.core.blocks), trace.layers, attach, ground, trace.core)
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -361,8 +431,17 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     back as singleton blocks.  Index j of the result is the remainder after
     layer j; index 0 is the partition the trace was peeled from.
     """
-    stages = [trace.core, *(_materialize(ts, keys) for ts, keys in _unfold(trace, None))]
-    return tuple(reversed(stages))
+    key, stages = _unfold_trace(trace, None)
+    return tuple(reversed([trace.core, *(_materialize(stage, key) for stage in stages)]))
+
+
+def _swap(part: SignedPartition, side: Side) -> SignedPartition:
+    """Peel ``part`` on ``side`` and patch it back on the other side, handing
+    the peeled keys straight to the patch."""
+    ts, key = _stage(part)
+    layers = tuple(_layers(ts, key, side))
+    core = [t for t in ts if t in key]
+    return _fold(core, key, len(part.blocks), layers, side.opposite, part.ground.elements, part)
 
 
 def psi(part: SignedPartition) -> SignedPartition:
@@ -372,13 +451,13 @@ def psi(part: SignedPartition) -> SignedPartition:
     adjacency count as its singleton count and vice versa.
     """
     require_full_ground(part)
-    return patch(peel(part, Side.LEFT), Side.RIGHT)
+    return _swap(part, Side.LEFT)
 
 
 def psi_inverse(part: SignedPartition) -> SignedPartition:
     """Inverse of :func:`psi`: peel right points, patch back on the left."""
     require_full_ground(part)
-    return patch(peel(part, Side.RIGHT), Side.LEFT)
+    return _swap(part, Side.RIGHT)
 
 
 def involution(part: SignedPartition) -> SignedPartition:

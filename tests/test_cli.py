@@ -7,7 +7,7 @@ import io
 import pytest
 
 from bpartitions import total_count
-from bpartitions.cli import run
+from bpartitions.cli import ENUMERATE_LIMIT, VERIFY_LIMIT, run
 from bpartitions.counting import COUNT_LIMIT
 from conftest import BIG, BIG_IMAGE, BIG_MIRROR, BIG_MIRROR_IMAGE
 
@@ -246,6 +246,29 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "stats", "1 / 2", "--n", "2000000")
         assert code == 2
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--quiet", "--n"], ["verify", "--max-n"], ["poly", "--n"]]
+    )
+    def test_huge_size_fails_fast_with_a_short_message(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "9" * 4000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n=a 13288-bit number exceeds the size guard")
+        assert len(err) < 100
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [(["enumerate", "--quiet", "--n"], ENUMERATE_LIMIT), (["verify", "--max-n"], VERIFY_LIMIT)],
+    )
+    def test_sweeps_are_guarded(self, capsys, argv, limit):
+        # Both defaults admit the sizes the benchmark and the docs run.
+        assert limit >= 7
+        code, out, err = invoke(capsys, *argv, str(limit + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: n={limit + 1} exceeds the size guard {limit} of the " + (
+            "enumeration\n" if argv[0] == "enumerate" else "verification sweep\n"
+        )
+        assert invoke(capsys, *argv, "3")[0] == 0
 
     def test_huge_element_is_a_parse_error(self, capsys):
         code, out, err = invoke(capsys, "stats", "1" + "0" * 5000)

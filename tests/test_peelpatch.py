@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -14,9 +18,11 @@ from bpartitions import (
     InternalInvariantError,
     MalformedLayerError,
     NotFullGroundError,
+    PartitionError,
     PeelLayer,
     PeelTrace,
     Side,
+    adjacency_pairs,
     complement,
     for_each,
     involution,
@@ -370,11 +376,212 @@ def test_kernel_at_scale(part):
 
 
 def test_deep_family_peels_one_layer_per_element():
-    # 1,-n / 2,n-1 / 3,n-2 / ... loses one element per left-peel layer
-    n = 200
+    # 1,-n / 2,n-1 / 3,n-2 / ... loses one element per peel layer on either
+    # side, so this size is affordable only when a layer costs its own size
+    n = 2000
     blocks = [[i, n + 1 - i] for i in range(2, n // 2 + 1)] + [[1, -n]]
     part = make_partition(blocks)
-    assert len(peel(part, Side.LEFT).layers) == n - 2
-    image = psi(part)
-    assert psi_inverse(image) == part
-    assert involution(involution(part)) == part
+    st = statistics(part)
+    for side in Side:
+        trace = peel(part, side)
+        assert len(trace.layers) == n - 2
+        stages = patch_stages(trace, side.opposite)
+        assert len(stages) == n - 1
+        image = stages[-1]
+        ist = statistics(image)
+        assert (ist.singletons, ist.adjacencies) == (st.adjacencies, st.singletons)
+        assert image == (psi if side is Side.LEFT else psi_inverse)(part)
+    assert psi_inverse(psi(part)) == part
+    assert psi(psi_inverse(part)) == part
+    image = involution(part)
+    ist = statistics(image)
+    assert (ist.singletons, ist.adjacencies) == (st.adjacencies, st.singletons)
+    assert involution(image) == part
+
+
+def rescan(part, side):
+    """Singletons and side points of ``part`` by a full rescan, independent of the kernel."""
+    st = statistics(part)
+    pairs = adjacency_pairs(part, st)
+    points = {t for t, _ in pairs} if side is Side.LEFT else {u for _, u in pairs}
+    return set(st.singleton_elements), points
+
+
+def check_stages_by_rescan(part):
+    # Each stage a patch or un-peel step builds must show the layer's
+    # returning elements as its singletons and the anchored ones as its side
+    # points on the attach side; a lone element counts as both.
+    for side in Side:
+        trace = peel(part, side)
+        built = [
+            (patch_stages(trace, side.opposite)[1:], reversed(trace.layers), side.opposite, True),
+            (trace_stages(trace)[:-1], trace.layers, side, False),
+        ]
+        for stages, layers, attach, swapped in built:
+            for stage, layer in zip(stages, layers):
+                singles, points = set(layer.singletons), set(layer.side_points)
+                if swapped:
+                    singles, points = points, singles
+                if len(stage.ground) == 1:
+                    singles = points = singles | points
+                assert rescan(stage, attach) == (singles, points), (str(part), side, layer.step)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_stage_matches_a_full_rescan(n):
+    for_each(n, check_stages_by_rescan)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_partitions(max_n=120))
+def test_nested_stages_match_a_full_rescan(part):
+    check_stages_by_rescan(part)
+
+
+def _random_partition(rng, elements):
+    blocks = []
+    for t in elements:
+        choice = rng.randrange(2 * len(blocks) + 1)
+        if choice == 0:
+            blocks.append([t])
+        else:
+            blocks[(choice - 1) // 2].append(t if choice % 2 else -t)
+    return make_partition(blocks, elements)
+
+
+def _random_ground(rng, size):
+    return sorted(rng.sample(range(1, 2 * size + 1), size))
+
+
+def _corrupt(rng, trace):
+    """``trace`` with one or two random corruptions (or none, now and then)."""
+    layers = [[set(x.singletons), set(x.side_points), x.side] for x in trace.layers]
+    core, ground = trace.core, list(trace.original_ground)
+    for _ in range(rng.randrange(3)):
+        kind = rng.randrange(8)
+        if kind == 0 and layers:  # move an element between the two sets of a layer
+            layer = rng.choice(layers)
+            src, dst = (0, 1) if rng.random() < 0.5 else (1, 0)
+            if layer[src]:
+                t = rng.choice(sorted(layer[src]))
+                layer[src].discard(t)
+                layer[dst].add(t)
+        elif kind == 1 and layers:  # drop an element from a layer
+            layer = rng.choice(layers)
+            which = layer[rng.randrange(2)]
+            if which:
+                which.discard(rng.choice(sorted(which)))
+        elif kind == 2 and layers:  # add an element the trace already has
+            rng.choice(layers)[rng.randrange(2)].add(rng.choice(ground or [1]))
+        elif kind == 3 and layers:  # flip a layer's side
+            layer = rng.choice(layers)
+            layer[2] = layer[2].opposite
+        elif kind == 4 and len(layers) > 1:  # swap two layers
+            i, j = rng.sample(range(len(layers)), 2)
+            layers[i], layers[j] = layers[j], layers[i]
+        elif kind == 5:  # another core on the same ground
+            core = _random_partition(rng, list(core.ground))
+        elif kind == 6:  # drop or add an element of the original ground
+            if ground and rng.random() < 0.5:
+                ground.remove(rng.choice(ground))
+            else:
+                ground = sorted(set(ground) | {rng.randrange(1, 2 * len(ground) + 3)})
+        elif kind == 7 and layers:  # move an element to another layer
+            a, b = rng.choice(layers), rng.choice(layers)
+            src = a[rng.randrange(2)]
+            if src:
+                t = rng.choice(sorted(src))
+                src.discard(t)
+                b[rng.randrange(2)].add(t)
+    rebuilt = tuple(
+        PeelLayer(i + 1, frozenset(s), frozenset(p), side) for i, (s, p, side) in enumerate(layers)
+    )
+    return PeelTrace(rebuilt, core, GroundSet.of(ground))
+
+
+def _fuzz_case(rng, case):
+    """One (name, thunk) pair of a seeded corrupted-input case."""
+    kind = case % 5
+    if kind == 0:
+        universe = _random_ground(rng, rng.randrange(1, 9))
+        stage_elems = sorted(rng.sample(universe, rng.randrange(len(universe) + 1)))
+        stage = _random_partition(rng, stage_elems)
+        rest = [t for t in universe if t not in stage_elems]
+        singles = {t for t in rest if rng.random() < 0.4}
+        points = {t for t in rest if t not in singles and rng.random() < 0.6}
+        if rng.random() < 0.2 and universe:
+            (singles if rng.random() < 0.5 else points).add(rng.choice(universe))
+        side = rng.choice(list(Side))
+        layer = PeelLayer(rng.randrange(1, 4), frozenset(singles), frozenset(points), side)
+        attach = side.opposite if rng.random() < 0.9 else side
+        target = set(stage_elems) | singles | points
+        if rng.random() < 0.15:
+            target ^= {rng.choice(universe)}
+        return "patch_step", lambda: str(patch_step(stage, layer, attach, GroundSet.of(target)))
+    if kind == 4:
+        part = _random_partition(rng, _random_ground(rng, rng.randrange(0, 9)))
+        side, step = rng.choice(list(Side)), rng.randrange(1, 4)
+
+        def one_step():
+            layer, rest = peel_step(part, side, step)
+            return f"{layer.step} {sorted(layer.singletons)} {sorted(layer.side_points)} {rest}"
+
+        return "peel_step", one_step
+    part = _random_partition(rng, _random_ground(rng, rng.randrange(1, 10)))
+    side = rng.choice(list(Side))
+    trace = _corrupt(rng, peel(part, side))
+    attach = side.opposite if rng.random() < 0.9 else side
+    if kind == 1:
+        return "patch_stages", lambda: " | ".join(map(str, patch_stages(trace, attach)))
+    if kind == 2:
+        return "trace_stages", lambda: " | ".join(map(str, trace_stages(trace)))
+    return "patch", lambda: str(patch(trace, attach))
+
+
+def fuzz_outcomes(seed, cases):
+    rng = random.Random(seed)
+    outcomes = []
+    for case in range(cases):
+        name, thunk = _fuzz_case(rng, case)
+        try:
+            outcomes.append(f"{name} ok {thunk()}")
+        except (PartitionError, InternalInvariantError) as exc:
+            outcomes.append(f"{name} {type(exc).__name__}: {exc}")
+    return outcomes
+
+
+# Recorded from the earlier full-rescan kernel: the outcomes of the 20,000
+# cases of seed 7, counted per call and outcome, and a digest of every line.
+# Any change to an exception type, a message or a result shows here.
+FUZZ_COUNTS = {
+    "patch AnchorMissingError": 50,
+    "patch GroundMismatchError": 539,
+    "patch InternalInvariantError": 251,
+    "patch MalformedLayerError": 938,
+    "patch ok": 2222,
+    "patch_stages AnchorMissingError": 42,
+    "patch_stages GroundMismatchError": 539,
+    "patch_stages InternalInvariantError": 250,
+    "patch_stages MalformedLayerError": 951,
+    "patch_stages ok": 2218,
+    "patch_step AnchorMissingError": 298,
+    "patch_step GroundMismatchError": 722,
+    "patch_step InternalInvariantError": 801,
+    "patch_step MalformedLayerError": 1636,
+    "patch_step ok": 543,
+    "peel_step AlreadyCoreError": 774,
+    "peel_step ok": 3226,
+    "trace_stages AnchorMissingError": 98,
+    "trace_stages GroundMismatchError": 659,
+    "trace_stages InternalInvariantError": 338,
+    "trace_stages MalformedLayerError": 263,
+    "trace_stages ok": 2642,
+}
+FUZZ_DIGEST = "4b0a52b6f018dfc0f79a61e7d8e6fdeca5c72f8eb83d96e68cee7860b2a365e1"
+
+
+def test_corrupted_layers_and_traces_keep_their_errors():
+    outcomes = fuzz_outcomes(7, 20_000)
+    counts = Counter(" ".join(line.split(" ", 2)[:2]).rstrip(":") for line in outcomes)
+    assert counts == FUZZ_COUNTS
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == FUZZ_DIGEST

@@ -223,6 +223,8 @@ def _cmd_enumerate(ns) -> int:
 def _cmd_poly(ns) -> int:
     if ns.n < 1:
         raise _UsageError("--n must be at least 1")
+    if ns.limit < 1:
+        raise _UsageError("--limit must be at least 1")
     dist = distribution(ns.n, limit=ns.limit)
     for s, a, c in dist.terms():
         print(s, a, c)
@@ -240,6 +242,8 @@ def _cmd_count(ns) -> int:
         raise _UsageError("--upto must be nonnegative")
     if ns.upto is not None and not ns.egf:
         raise _UsageError("--upto only applies to --egf")
+    if ns.upto is not None and ns.n is not None:
+        raise _UsageError("--egf takes --upto or --n, not both")
     if max(ns.n or 0, ns.upto or 0) > COUNT_LIMIT:
         raise TooLargeError(f"count's size guard caps --n and --upto at {COUNT_LIMIT}")
     if ns.egf:

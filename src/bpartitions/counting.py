@@ -7,8 +7,10 @@ cross-check one another:
   numbers of the second kind (``2**(n-j) * S(n, j)`` counts the partitions
   with exactly 2j blocks; inclusion-exclusion over supports removes the ones
   with singleton pairs).
-* ``singleton_free_egf``: coefficients of exp((e^(2x) - 1)/2 - x), from the
-  integer recurrence that the derivative of the series gives.
+* ``singleton_free_egf``: coefficients of G = exp((e^(2x) - 1)/2 - x).  From
+  G' = (e^(2x) - 1) * G, G_(n+1) = H_n - G_n with H = e^(2x) * G, and H_n is
+  the last entry of row n of an additions-only triangle whose rows start at
+  G_n, so no binomial and no big-integer product is ever formed.
 * ``distribution``: the full joint table of (singleton pairs, adjacency
   pairs) by inclusion-exclusion on the n-cycle, with no enumeration.  Marking
   k singleton elements and m adjacency positions that touch no marked
@@ -35,7 +37,7 @@ from .core import PartitionError
 DISTRIBUTION_LIMIT = 250
 
 # Largest n, or order, that the ``count`` command computes.  At 1000,
-# ``singleton_free_egf`` takes about 9.6 s (0.11 s at the census order, 300)
+# ``singleton_free_egf`` takes about 0.3 s (0.01 s at the census order, 300)
 # and ``total_count`` peaks near 210 MB (2-vCPU Xeon, Python 3.11).  |V_1801|
 # is the first count with more than the 4,300 digits that int-to-text
 # conversion allows.
@@ -99,16 +101,27 @@ def singleton_free_ie(n: int) -> int:
 def singleton_free_egf(upto: int) -> list[int]:
     """Singleton-pair-free counts for n = 0..upto from the generating function.
 
-    G_n = n! * [x^n] exp((e^(2x) - 1)/2 - x).  Differentiating gives
-    G' = (e^(2x) - 1) * G, and comparing coefficients gives the integer
-    recurrence G_n = sum_{k=2..n} C(n-1, k-1) * 2**(k-1) * G_(n-k)
-    (Flajolet-Sedgewick, Analytic Combinatorics, ch. II).
+    G_n = n! * [x^n] G with G = exp((e^(2x) - 1)/2 - x).  Differentiating
+    gives G' = (e^(2x) - 1) * G, so G_(n+1) = H_n - G_n, where
+    H = e^(2x) * G has H_n = sum_k C(n, k) * 2**k * G_(n-k).  The triangle
+    T(n, 0) = G_n, T(n, i) = T(n, i-1) + 2 * T(n-1, i-1) has
+    T(n, i) = sum_k C(i, k) * 2**k * G_(n-k) by Pascal's rule, so H_n = T(n, n)
+    (Flajolet-Sedgewick, Analytic Combinatorics, ch. II; the Bell-triangle
+    scheme of Knuth, TAOCP 4A, 7.2.1.5).  One row is kept, overwritten in
+    place: the whole series costs O(upto**2) big-integer additions and shifts.
     """
     if upto < 0:
         raise ValueError(f"upto must be nonnegative, got {upto}")
     out = [1]
-    for n in range(1, upto + 1):
-        out.append(sum((comb(n - 1, k - 1) << (k - 1)) * out[n - k] for k in range(2, n + 1)))
+    row = [1]  # row n of the triangle, for n = len(out) - 1
+    for _ in range(upto):
+        t = row[-1] - out[-1]
+        out.append(t)
+        # overwrite row n - 1 with row n: T(n-1, i) is read before it goes
+        for i, prev in enumerate(row):
+            row[i] = t
+            t += prev << 1
+        row.append(t)
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 
 import pytest
@@ -10,6 +11,9 @@ from bpartitions import total_count
 from bpartitions.cli import ENUMERATE_LIMIT, VERIFY_LIMIT, run
 from bpartitions.counting import COUNT_LIMIT
 from conftest import BIG, BIG_IMAGE, BIG_MIRROR, BIG_MIRROR_IMAGE
+
+
+EGF_1000_DIGEST = "e51fd41c52013d6ce653eb2677bc07e18f0e1a0cba13f0fde4c1361c1da99adc"
 
 
 def invoke(capsys, *argv):
@@ -122,6 +126,12 @@ class TestPoly:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_is_a_usage_error(self, capsys, limit):
+        code, out, err = invoke(capsys, "poly", "--n", "2", "--limit", limit)
+        assert (code, out) == (1, "")
+        assert "--limit must be at least 1" in err
+
     def test_past_the_reach_of_enumeration(self, capsys):
         code, out, _ = invoke(capsys, "poly", "--n", "13")
         assert code == 0
@@ -149,6 +159,18 @@ class TestCount:
     def test_egf(self, capsys):
         _, out, _ = invoke(capsys, "count", "--egf", "--upto", "4")
         assert out.splitlines() == ["0 1", "1 0", "2 2", "3 4", "4 20"]
+
+    def test_egf_order_1000_digest(self, capsys):
+        # sha256 of the output of the earlier convolution recurrence, recorded
+        # before the triangle replaced it
+        code, out, _ = invoke(capsys, "count", "--egf", "--upto", "1000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EGF_1000_DIGEST
+
+    def test_egf_rejects_both_n_and_upto(self, capsys):
+        code, out, err = invoke(capsys, "count", "--egf", "--n", "5", "--upto", "3")
+        assert (code, out) == (1, "")
+        assert "usage error" in err
 
     def test_missing_n(self, capsys):
         code, _, err = invoke(capsys, "count")

@@ -31,6 +31,15 @@ def brute_stirling(k: int, j: int) -> int:
     return hits // factorial(j)
 
 
+def egf_convolution(upto: int) -> list[int]:
+    """Oracle for the triangle: G' = (e^(2x) - 1) * G as a convolution,
+    G_n = sum_{k=2..n} C(n-1, k-1) * 2**(k-1) * G_(n-k)."""
+    out = [1]
+    for n in range(1, upto + 1):
+        out.append(sum((comb(n - 1, k - 1) << (k - 1)) * out[n - k] for k in range(2, n + 1)))
+    return out
+
+
 def dist_from_terms(n, terms):
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for s, a, c in terms:
@@ -99,6 +108,7 @@ class TestSingletonFree:
     def test_egf_matches_inclusion_exclusion(self):
         values = singleton_free_egf(300)
         assert values[0] == 1
+        assert values == egf_convolution(300)
         for n in range(301):
             assert values[n] == singleton_free_ie(n)
 

@@ -35,7 +35,7 @@ from .counting import (
     stirling2,
     total_count,
 )
-from .enumeration import EnumerationState, complete, for_each
+from .enumeration import for_each
 from .peelpatch import (
     AlreadyCoreError,
     AnchorMissingError,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BivariateDistribution",
     "DuplicateElementError",
-    "EnumerationState",
     "GroundMismatchError",
     "GroundSet",
     "InternalInvariantError",
@@ -79,7 +78,6 @@ __all__ = [
     "MalformedLayerError",
     "adjacency_pairs",
     "complement",
-    "complete",
     "distribution",
     "for_each",
     "format_partition",

@@ -12,14 +12,13 @@ adjacency pair exactly when i joins the block of i-1 with the same sign, and
 the wrap-around pair (n, 1) exactly when n ends in block 0 with sign +.
 :func:`walk` calls ``leaf(blocks, s, a)`` at every leaf with the live block
 lists and the two counts, so a leaf that only counts builds no object;
-:func:`for_each` and :func:`complete` build a :class:`SignedPartition` there.
-``slice`` is the same walk cut at a depth: its leaves are independent subtree
-roots, and completing them in order reproduces the ``for_each`` order.
+:func:`for_each` builds a :class:`SignedPartition` there.  The leaf order is
+fixed, so a leaf's visit index names it; a parallel sweep splits V_n by that
+index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import GroundSet, SignedPartition
@@ -28,35 +27,25 @@ Visitor = Callable[[SignedPartition], object]
 Leaf = Callable[[list[list[int]], int, int], object]
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationState:
-    """An independent subtree root: elements 1..depth already placed."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-
 class _Stop(Exception):
     """A leaf returned ``False``; unwinds the walk."""
 
 
-def walk(n: int, blocks: list[list[int]], end: int, leaf: Leaf) -> int:
-    """Place elements depth+1..end after the prefix ``blocks``; return the leaf count.
+def walk(n: int, leaf: Leaf) -> int:
+    """Place elements 1..n in every way; return the leaf count.
 
-    ``blocks`` holds elements 1..depth and is extended in place; ``leaf``
-    receives it with the singleton and adjacency counts of the placed
-    elements, the wrap-around pair included only once element n is placed.
-    Returning ``False`` from ``leaf`` stops the walk.
+    ``leaf`` receives the live block lists with the singleton and adjacency
+    counts, the wrap-around pair included.  Returning ``False`` from ``leaf``
+    stops the walk.
     """
-    where = {abs(m): (k, m > 0) for k, b in enumerate(blocks) for m in b}
-    depth = len(where)
+    blocks: list[list[int]] = []
     count = 0
 
     def descend(i: int, s: int, a: int, pb: int, ps: bool) -> None:
         # pb and ps: block index and sign of element i - 1
         nonlocal count
-        if i > end:
-            if i > n and pb == 0 and ps:
+        if i > n:
+            if pb == 0 and ps:
                 a += 1
             count += 1
             if leaf(blocks, s, a) is False:
@@ -75,25 +64,10 @@ def walk(n: int, blocks: list[list[int]], end: int, leaf: Leaf) -> int:
             b.pop()
 
     try:
-        descend(
-            depth + 1,
-            sum(len(b) == 1 for b in blocks),
-            sum(where[i - 1] == where[i] for i in range(2, depth + 1)),
-            *where.get(depth, (-1, True)),
-        )
+        descend(1, 0, 0, -1, True)
     except _Stop:
         pass
     return count
-
-
-def _objects(n: int, visitor: Visitor) -> Leaf:
-    """A leaf that hands ``visitor`` a canonical partition of {1..n}."""
-    ground = GroundSet.full(n)
-
-    def leaf(blocks: list[list[int]], s: int, a: int) -> object:
-        return visitor(SignedPartition(ground, tuple(map(tuple, blocks))))
-
-    return leaf
 
 
 def for_each(n: int, visitor: Visitor) -> int:
@@ -105,26 +79,9 @@ def for_each(n: int, visitor: Visitor) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return walk(n, [], n, _objects(n, visitor))
+    ground = GroundSet.full(n)
 
+    def leaf(blocks: list[list[int]], s: int, a: int) -> object:
+        return visitor(SignedPartition(ground, tuple(map(tuple, blocks))))
 
-def complete(state: EnumerationState, visitor: Visitor) -> int:
-    """Visit every completion of ``state``; same contract as :func:`for_each`."""
-    return walk(state.n, [list(b) for b in state.blocks], state.n, _objects(state.n, visitor))
-
-
-def slice(n: int, prefix_depth: int) -> list[EnumerationState]:
-    """Independent subtree roots with elements 1..prefix_depth placed.
-
-    Completing the returned states in order visits each member of V_n exactly
-    once, in the same overall order as :func:`for_each`.
-    """
-    if not 1 <= prefix_depth <= n:
-        raise ValueError(f"prefix depth must be in 1..{n}, got {prefix_depth}")
-    states: list[EnumerationState] = []
-
-    def root(blocks: list[list[int]], s: int, a: int) -> None:
-        states.append(EnumerationState(n, tuple(map(tuple, blocks))))
-
-    walk(n, [], prefix_depth, root)
-    return states
+    return walk(n, leaf)

@@ -9,8 +9,10 @@ closed formulas, the closed-form joint table and the generating function.  An
 exception is charged to the property whose check raised it, and the witness
 names the failing call.
 
-Sweeps can be split across processes along enumeration slices; slices are
-merged in a fixed order, so the output never depends on the worker count.
+A sweep can be split across W processes by visit index: every worker walks
+all of V_n, which costs well under a microsecond a leaf, and inspects only the
+leaves whose index is its own modulo W.  A witness carries its visit index and
+the merge keeps the smallest, so the output never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from .core import InternalInvariantError, adjacency_pairs, complement, statistics, validate
@@ -29,7 +32,7 @@ from .counting import (
     stirling2,
     total_count,
 )
-from .enumeration import EnumerationState, complete, slice as enumeration_slice
+from .enumeration import for_each
 from .peelpatch import Side, patch_stages, peel, psi, psi_inverse, trace_stages
 from .textio import parse_partition
 
@@ -43,8 +46,8 @@ PER_PARTITION_PROPERTIES = (
     "per-stage-swap",
 )
 
-# Memory guard: duplicate detection and text round trips keep every canonical
-# string, so they stop at this level while the other checks keep going.
+# Memory guard: duplicate detection keeps every canonical string, so it and the
+# text round trips stop at this level while the other checks keep going.
 TEXT_SWEEP_LIMIT = 7
 
 
@@ -59,18 +62,18 @@ class Report:
 
 
 class _Accumulator:
-    def __init__(self, n: int, want_texts: bool, want_roundtrip: bool):
+    def __init__(self, n: int):
         self.n = n
         self.table = [[0] * (n + 1) for _ in range(n + 1)]
         self.hist = [0] * (n + 1)
-        self.witnesses: dict[str, str] = {}
-        self.texts: set[str] | None = set() if want_texts else None
-        self.roundtrip = want_roundtrip
+        self.index = 0  # visit index of the partition under inspection
+        self.witnesses: dict[str, tuple[int, str]] = {}
+        self.texts: set[str] | None = set() if n <= TEXT_SWEEP_LIMIT else None
 
     def fail(self, prop: str, text: str, detail: str = "") -> None:
         if prop not in self.witnesses:
             suffix = f" ({detail})" if detail else ""
-            self.witnesses[prop] = f"witness {text}{suffix}"
+            self.witnesses[prop] = (self.index, f"witness {text}{suffix}")
 
 
 class _Charge:
@@ -119,7 +122,7 @@ def _inspect(part, acc: _Accumulator) -> None:
         overlap = len(part.ground) >= 2 and (lp | rp) & set(st.singleton_elements)
         _expect(not overlap, "singletons overlap adjacency points")
 
-    if acc.roundtrip:
+    if acc.texts is not None:
         with _Charge(acc, "textio-roundtrip", text):
             _expect(_call("parse_partition", parse_partition, text) == part)
 
@@ -163,12 +166,20 @@ def _inspect(part, acc: _Accumulator) -> None:
                 raise InternalInvariantError(f"stage {k - idx}")
 
 
-def _sweep_slice(args: tuple) -> tuple:
-    n, blocks, want_texts, want_roundtrip = args
-    acc = _Accumulator(n, want_texts, want_roundtrip)
-    visits = complete(EnumerationState(n, blocks), lambda part: _inspect(part, acc))
-    texts = frozenset(acc.texts) if acc.texts is not None else None
-    return visits, acc.table, acc.hist, acc.witnesses, texts
+def _sweep_stripe(args: tuple[int, int, int]) -> tuple:
+    """Walk V_n; inspect the leaves whose visit index is ``stripe`` modulo ``stripes``."""
+    n, stripe, stripes = args
+    acc = _Accumulator(n)
+    indices = count()
+
+    def visit(part) -> None:
+        i = next(indices)
+        if i % stripes == stripe:
+            acc.index = i
+            _inspect(part, acc)
+
+    visits = for_each(n, visit)
+    return visits, acc.table, acc.hist, acc.witnesses, acc.texts
 
 
 @dataclass
@@ -183,47 +194,39 @@ class SweepResult:
 def sweep(n: int, jobs: int = 1) -> SweepResult:
     """One full pass over V_n, optionally split across processes.
 
-    The worker count is ``jobs`` clamped to the CPU count and the number of
-    slices, so no argument starts more processes than can run at once.
+    The worker count is ``jobs`` clamped to the CPU count and to |V_n|, so no
+    argument starts more processes than can run at once or have work to do.
+    Worker w inspects the partitions whose visit index is w modulo the worker
+    count; each witness is the first failing partition in :func:`for_each`
+    order, whatever the worker count.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
-    want_texts = n <= TEXT_SWEEP_LIMIT
-    depth = 1
-    if jobs > 1 and n >= 3:
-        depth = 3
-        while depth < min(n, 5) and len(enumeration_slice(n, depth)) < 4 * jobs:
-            depth += 1
-    states = enumeration_slice(n, depth)
-    payloads = [(n, s.blocks, want_texts, want_texts) for s in states]
-    workers = min(jobs, len(payloads))
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:  # a single worker needs no |V_n|
+        workers = min(workers, total_count(n))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_slice, payloads))
+            results = list(pool.map(_sweep_stripe, [(n, w, workers) for w in range(workers)]))
     else:
-        results = [_sweep_slice(p) for p in payloads]
+        results = [_sweep_stripe((n, 0, 1))]
 
-    visits = 0
+    # every worker walks all of V_n, so each returns the same visit count
+    visits = results[0][0]
     table = [[0] * (n + 1) for _ in range(n + 1)]
     hist = [0] * (n + 1)
-    witnesses: dict[str, str] = {}
-    seen: set[str] | None = set() if want_texts else None
-    text_total = 0
-    for part_visits, part_table, part_hist, part_witnesses, part_texts in results:
-        visits += part_visits
+    found: dict[str, tuple[int, str]] = {}
+    seen: set[str] = set()
+    for _, part_table, part_hist, part_witnesses, part_texts in results:
         for s in range(n + 1):
             for a in range(n + 1):
                 table[s][a] += part_table[s][a]
         for j in range(n + 1):
             hist[j] += part_hist[j]
         for prop, witness in part_witnesses.items():
-            witnesses.setdefault(prop, witness)
-        if seen is not None and part_texts is not None:
-            text_total += len(part_texts)
-            seen |= part_texts
-    distinct = None
-    if seen is not None:
-        # Cross-slice duplicates would make the union smaller than the sum.
-        distinct = len(seen) if len(seen) == text_total else -1
+            found[prop] = min(found.get(prop, witness), witness)
+        seen.update(part_texts or ())
+    witnesses = {prop: text for prop, (_, text) in found.items()}
+    # The union has one text per visit exactly when no partition came twice.
+    distinct = len(seen) if n <= TEXT_SWEEP_LIMIT else None
     return SweepResult(visits, table, hist, witnesses, distinct)
 
 

@@ -80,7 +80,7 @@ def tables_to_9():
         def tally(blocks, s, a, table=table):
             table[s][a] += 1
 
-        walk(n, [], n, tally)
+        walk(n, tally)
         tables[n] = BivariateDistribution(n, tuple(tuple(row) for row in table))
     return tables, time.perf_counter() - t0
 

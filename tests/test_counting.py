@@ -148,7 +148,7 @@ class TestDistribution:
         def leaf(blocks, s, a):
             tally[s][a] += 1
 
-        walk(n, [], n, leaf)
+        walk(n, leaf)
         table = [[0] * (n + 1) for _ in range(n + 1)]
 
         def visit(part):

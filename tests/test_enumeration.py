@@ -1,11 +1,11 @@
-"""Exhaustive generation: counts, order, slicing, and early abort."""
+"""Exhaustive generation: counts, order, running statistics, and early abort."""
 
 from __future__ import annotations
 
 import pytest
 
-from bpartitions import for_each, make_partition, statistics, total_count, validate
-from bpartitions.enumeration import EnumerationState, complete, slice, walk
+from bpartitions import for_each, statistics, total_count, validate
+from bpartitions.enumeration import walk
 
 
 def brute_stirling(k: int, j: int) -> int:
@@ -83,55 +83,15 @@ class TestForEach:
             for_each(-1, lambda p: None)
 
 
-class TestSlice:
-    def test_depth_one_is_single_root(self):
-        states = slice(3, 1)
-        assert len(states) == 1
-        assert states[0].blocks == ((1,),)
-
-    def test_depth_two_branching(self):
-        states = slice(3, 2)
-        assert len(states) == 3
-        assert [s.blocks for s in states] == [((1,), (2,)), ((1, 2),), ((1, -2),)]
-
-    def test_states_are_valid_prefixes(self):
-        for state in slice(4, 3):
-            assert sum(map(len, state.blocks)) == 3
-            validate(make_partition(state.blocks))
-
-    def test_completions_cover_for_each_in_order(self):
-        full = collect(4)
-        pieces = []
-        for state in slice(4, 2):
-            complete(state, lambda p: pieces.append(str(p)))
-        assert pieces == full
-        assert len(pieces) == 49
-
-    @pytest.mark.parametrize("depth", range(1, 6))
-    def test_completions_cover_for_each_at_every_depth(self, depth):
-        pieces = []
-        counts = []
-        for state in slice(5, depth):
-            complete(state, lambda p: pieces.append(str(p)))
-            prefix = [list(b) for b in state.blocks]
-            walk(5, prefix, 5, lambda blocks, s, a: counts.append((s, a)))
-        assert pieces == collect(5)
-        # the running counts, seeded from the prefix, match a full recount
-        expected = []
-        for_each(5, lambda p: expected.append((statistics(p).singletons, statistics(p).adjacencies)))
-        assert counts == expected
-
-    def test_depth_bounds(self):
-        with pytest.raises(ValueError):
-            slice(3, 0)
-        with pytest.raises(ValueError):
-            slice(3, 4)
-
-    def test_full_depth_states_are_leaves(self):
-        states = slice(3, 3)
-        assert len(states) == 11
-        for state in states:
-            assert complete(state, lambda p: None) == 1
+def test_walk_counts_follow_for_each_order():
+    # the walk's running (s, a) at each leaf is the recount of the partition
+    # for_each builds at the same leaf
+    counts = []
+    walk(5, lambda blocks, s, a: counts.append((s, a)))
+    expected = []
+    for_each(5, lambda p: expected.append((statistics(p).singletons, statistics(p).adjacencies)))
+    assert counts == expected
+    assert len(counts) == total_count(5)
 
 
 def test_per_block_pair_counts():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import bpartitions.verification as verification
-from bpartitions import BivariateDistribution, make_partition, total_count
+from bpartitions import BivariateDistribution, for_each, make_partition, total_count
 from bpartitions.verification import Report, iter_suite, sweep
 
 
@@ -40,11 +40,57 @@ def test_sweep_counts_and_table():
 
 def test_parallel_sweep_matches_sequential():
     a, b = sweep(5, jobs=1), sweep(5, jobs=3)
-    assert (a.visits, a.table, a.hist, a.distinct_texts) == (
+    assert (a.visits, a.table, a.hist, a.distinct_texts, a.witnesses) == (
         b.visits,
         b.table,
         b.hist,
         b.distinct_texts,
+        b.witnesses,
+    )
+
+
+def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    real_validate = verification.validate
+
+    def signed(part):
+        return any(m < 0 for b in part.blocks for m in b)
+
+    def broken(part):
+        if signed(part):
+            raise RuntimeError("sabotaged")
+        return real_validate(part)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.setattr(verification, "validate", broken)
+    order = []
+    for_each(5, lambda p: order.append(p))
+    first = next(i for i, p in enumerate(order) if signed(p))
+    # the first failure lies outside worker 0's share, so keeping worker 0's
+    # witness, or the first worker's to report, would name a later partition
+    assert first % 3 != 0
+
+    split, whole = sweep(5, jobs=3), sweep(5, jobs=1)
+    assert pools == [3]
+    assert split.witnesses == whole.witnesses
+    assert set(whole.witnesses) == {"validity"}
+    assert whole.witnesses["validity"] == (
+        f"witness {order[first]} (validate raised RuntimeError: sabotaged)"
     )
 
 

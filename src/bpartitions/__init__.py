@@ -10,7 +10,6 @@ size, and counts them exactly along three independent pipelines.
 from .core import (
     DuplicateElementError,
     GroundMismatchError,
-    GroundSet,
     InternalInvariantError,
     NotFullGroundError,
     PartitionError,
@@ -61,7 +60,6 @@ __all__ = [
     "BivariateDistribution",
     "DuplicateElementError",
     "GroundMismatchError",
-    "GroundSet",
     "InternalInvariantError",
     "NotFullGroundError",
     "ParseError",

@@ -138,6 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _iter_inputs(ns):
+    if ns.n is not None and ns.n < 0:
+        raise _UsageError("--n must be nonnegative")
     if ns.stdin:
         if ns.partition is not None:
             raise _UsageError("give a partition argument or --stdin, not both")

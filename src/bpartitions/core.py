@@ -1,10 +1,11 @@
 """Canonical symmetric signed partitions and their singleton/adjacency statistics.
 
 A signed partition lives on a ground set {t_1 < t_2 < ... < t_r} of positive
-integers: it partitions {-t_r, ..., -t_1, t_1, ..., t_r} so that the negation
-of every block is again a block.  Blocks therefore come in pairs {B, -B}, and
-only one representative per pair is stored, normalized so that the member of
-smallest absolute value is positive.  A block equal to its own negation (a
+integers, stored as the sorted tuple (t_1, ..., t_r) and read cyclically: it
+partitions {-t_r, ..., -t_1, t_1, ..., t_r} so that the negation of every
+block is again a block.  Blocks therefore come in pairs {B, -B}, and only one
+representative per pair is stored, normalized so that the member of smallest
+absolute value is positive.  A block equal to its own negation (a
 zero-block) would have to contain both +x and -x, which the representative
 form cannot express; such input is rejected at construction time.
 
@@ -24,7 +25,7 @@ involution and preserves both statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class PartitionError(ValueError):
@@ -51,43 +52,6 @@ class InternalInvariantError(RuntimeError):
     """A structurally guaranteed property failed; this always indicates a bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class GroundSet:
-    """Strictly increasing positive support, read cyclically.
-
-    Build validated instances with :meth:`of` or :meth:`full`.
-    """
-
-    elements: tuple[int, ...]
-
-    @classmethod
-    def of(cls, elements: Iterable[int]) -> GroundSet:
-        elems = tuple(sorted(elements))
-        for i, t in enumerate(elems):
-            if t < 1:
-                raise PartitionError(f"ground elements must be positive, got {t}")
-            if i and elems[i - 1] == t:
-                raise DuplicateElementError(f"duplicate ground element {t}")
-        return cls(elems)
-
-    @classmethod
-    def full(cls, n: int) -> GroundSet:
-        if n < 0:
-            raise PartitionError(f"ground size must be nonnegative, got {n}")
-        return cls(tuple(range(1, n + 1)))
-
-    def is_full(self) -> bool:
-        """True when the support is exactly {1..r}."""
-        r = len(self.elements)
-        return r == 0 or self.elements[r - 1] == r
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-
 def _normalize_block(members: Iterable[int]) -> tuple[int, ...]:
     ms = sorted(members, key=abs)
     if not ms:
@@ -110,6 +74,7 @@ def _normalize_block(members: Iterable[int]) -> tuple[int, ...]:
 class SignedPartition:
     """Canonical symmetric partition: a ground set plus representative blocks.
 
+    ``ground`` is the support as a strictly increasing tuple of positive ints.
     Each block is the stored representative of a block pair {B, -B}: a tuple
     of ints sorted by absolute value whose first member is positive; -B is
     implicit.  Blocks are sorted by minimum absolute value, so two partitions
@@ -118,7 +83,7 @@ class SignedPartition:
     ``textio.parse_partition``.
     """
 
-    ground: GroundSet
+    ground: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
 
     @property
@@ -141,14 +106,15 @@ def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:
 
 def make_partition(
     blocks: Iterable[Iterable[int]],
-    ground: GroundSet | Iterable[int] | None = None,
+    ground: Iterable[int] | None = None,
 ) -> SignedPartition:
     """Canonicalize raw signed blocks into a :class:`SignedPartition`.
 
     Either representative of each block pair is accepted: a block whose
     minimum-absolute member is negative is replaced by its negation.  When
     ``ground`` is omitted it is inferred from the absolute values present;
-    when given, coverage is verified exactly.
+    when given, it is sorted and must equal that support exactly, so a
+    duplicate, zero or negative element raises :class:`GroundMismatchError`.
     """
     norm = sorted(_normalize_block(b) for b in blocks)
     covered = sorted(abs(m) for b in norm for m in b)
@@ -156,16 +122,14 @@ def make_partition(
         if covered[i] == covered[i - 1]:
             raise DuplicateElementError(f"|{covered[i]}| occurs in more than one block")
     support = tuple(covered)
-    if ground is None:
-        gset = GroundSet(support)
-    else:
-        gset = ground if isinstance(ground, GroundSet) else GroundSet.of(ground)
-        if gset.elements != support:
+    if ground is not None:
+        given = tuple(sorted(ground))
+        if given != support:
             raise GroundMismatchError(
                 f"blocks cover {len(support)} elements but the ground set has "
-                f"{len(gset)}; {_first_difference(support, gset.elements)}"
+                f"{len(given)}; {_first_difference(support, given)}"
             )
-    return SignedPartition(gset, tuple(norm))
+    return SignedPartition(support, tuple(norm))
 
 
 def validate(part: SignedPartition) -> None:
@@ -174,7 +138,7 @@ def validate(part: SignedPartition) -> None:
     Canonical instances are produced only by this package, so a violation is
     reported as :class:`InternalInvariantError` rather than bad input.
     """
-    g = part.ground.elements
+    g = part.ground
     if any(t < 1 for t in g):
         raise InternalInvariantError(f"ground {g} has a nonpositive element")
     if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
@@ -219,7 +183,7 @@ def statistics(part: SignedPartition) -> Statistics:
     count.  On a one-element ground the lone element is both a singleton pair
     and its own adjacency pair.
     """
-    ts = part.ground.elements
+    ts = part.ground
     r = len(ts)
     if r == 0:
         return Statistics(0, 0, (), ())
@@ -242,7 +206,7 @@ def adjacency_pairs(part: SignedPartition, stats: Statistics) -> tuple[tuple[int
 
     ``stats`` must be ``statistics(part)``; callers pass the one they hold.
     """
-    ts = part.ground.elements
+    ts = part.ground
     r = len(ts)
     return tuple((ts[j - 1], ts[j % r]) for j in stats.adjacency_positions)
 
@@ -262,13 +226,14 @@ def require_full_ground(part: SignedPartition, n: int | None = None) -> int:
 
     With ``n`` omitted, the required size is taken from the ground itself.
     """
-    size = len(part.ground)
+    g = part.ground
+    size = len(g)
     if n is None:
         n = size
-    if n != size or not part.ground.is_full():
+    if n != size or (g and g[-1] != size):
         raise NotFullGroundError(
             f"ground of {size} elements is not the full set 1..{n}; "
-            f"{_first_difference(part.ground.elements, range(1, n + 1))}"
+            f"{_first_difference(g, range(1, n + 1))}"
         )
     return n
 

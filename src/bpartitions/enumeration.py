@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GroundSet, SignedPartition
+from .core import SignedPartition
 
 Visitor = Callable[[SignedPartition], object]
 Leaf = Callable[[list[list[int]], int, int], object]
@@ -79,7 +79,7 @@ def for_each(n: int, visitor: Visitor) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    ground = GroundSet.full(n)
+    ground = tuple(range(1, n + 1))
 
     def leaf(blocks: list[list[int]], s: int, a: int) -> object:
         return visitor(SignedPartition(ground, tuple(map(tuple, blocks))))

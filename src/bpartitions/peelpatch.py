@@ -51,10 +51,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    GroundSet,
     InternalInvariantError,
     PartitionError,
     GroundMismatchError,
@@ -107,7 +106,7 @@ class PeelTrace:
 
     layers: tuple[PeelLayer, ...]
     core: SignedPartition
-    original_ground: GroundSet
+    original_ground: tuple[int, ...]
 
 
 # A stage is the kernel's form of a partition: its ground as a sorted list ``ts``
@@ -124,7 +123,7 @@ def _stage(part: SignedPartition) -> tuple[list[int], dict[int, int]]:
     for label, block in enumerate(part.blocks):
         for m in block:
             key[abs(m)] = 2 * label + (m > 0)
-    return list(part.ground.elements), key
+    return list(part.ground), key
 
 
 def _materialize(ts: list[int], key: dict[int, int]) -> SignedPartition:
@@ -132,7 +131,7 @@ def _materialize(ts: list[int], key: dict[int, int]) -> SignedPartition:
     for t in ts:
         k = key[t]
         blocks.setdefault(k >> 1, []).append(t if k & 1 else -t)
-    return make_partition(blocks.values(), GroundSet(tuple(ts)))
+    return make_partition(blocks.values())
 
 
 def _layers(ts: list[int], key: dict[int, int], side: Side) -> Iterator[PeelLayer]:
@@ -255,7 +254,7 @@ def patch_step(
     stage: SignedPartition,
     layer: PeelLayer,
     attach: Side,
-    target_ground: GroundSet,
+    target_ground: Iterable[int],
 ) -> SignedPartition:
     """Patch one layer into ``stage`` with the two roles interchanged.
 
@@ -268,12 +267,13 @@ def patch_step(
     """
     if attach is layer.side:
         raise MalformedLayerError("attach side must be opposite the peel side")
+    target = tuple(sorted(target_ground))
     ts, key = _stage(stage)
-    if tuple(_merge(ts, key, layer.singletons, layer.side_points)) != target_ground.elements:
+    if tuple(_merge(ts, key, layer.singletons, layer.side_points)) != target:
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
-    return _fold(ts, key, len(stage.blocks), (layer,), attach, target_ground.elements, stage)
+    return _fold(ts, key, len(stage.blocks), (layer,), attach, target, stage)
 
 
 def _unfold(
@@ -394,7 +394,7 @@ def _unfold_trace(
 ) -> tuple[dict[int, int], Iterator[list[int]]]:
     """:func:`_unfold` from the core of ``trace``: the keys and the stages."""
     ts, key = _stage(trace.core)
-    ground = trace.original_ground.elements
+    ground = trace.original_ground
     return key, _unfold(ts, key, len(trace.core.blocks), trace.layers, attach, ground)
 
 
@@ -418,7 +418,7 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     it are checked the same way but never materialised.
     """
     ts, key = _stage(trace.core)
-    ground = trace.original_ground.elements
+    ground = trace.original_ground
     return _fold(ts, key, len(trace.core.blocks), trace.layers, attach, ground, trace.core)
 
 
@@ -441,7 +441,7 @@ def _swap(part: SignedPartition, side: Side) -> SignedPartition:
     ts, key = _stage(part)
     layers = tuple(_layers(ts, key, side))
     core = [t for t in ts if t in key]
-    return _fold(core, key, len(part.blocks), layers, side.opposite, part.ground.elements, part)
+    return _fold(core, key, len(part.blocks), layers, side.opposite, part.ground, part)
 
 
 def psi(part: SignedPartition) -> SignedPartition:

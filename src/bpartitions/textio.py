@@ -17,7 +17,7 @@ import json
 import re
 from typing import Iterable
 
-from .core import GroundSet, PartitionError, SignedPartition, make_partition
+from .core import PartitionError, SignedPartition, make_partition
 from .peelpatch import PeelLayer, PeelTrace, Side, patch_stages, trace_stages
 
 
@@ -40,12 +40,13 @@ def format_partition(part: SignedPartition) -> str:
 
 def parse_partition(
     text: str,
-    ground: GroundSet | Iterable[int] | None = None,
+    ground: Iterable[int] | None = None,
 ) -> SignedPartition:
     """Parse partition text; the inverse of :func:`format_partition`.
 
     With ``ground`` omitted, the support is inferred from the absolute values
-    present.
+    present; a given ground is checked as :func:`~bpartitions.core.make_partition`
+    checks it.
     """
     s = text.replace(_UNICODE_MINUS, "-")
     n = len(s)

@@ -264,6 +264,18 @@ class TestExitCodes:
         assert invoke(capsys, "count", "--egf", "--upto", "-1")[0] == 1
         assert invoke(capsys, "verify", "--max-n", "0")[0] == 1
 
+    @pytest.mark.parametrize(
+        "command", ["stats", "psi", "psi-inv", "involution", "complement", "trace"]
+    )
+    def test_negative_forced_ground_is_a_usage_error(self, capsys, monkeypatch, command):
+        class Unread(io.StringIO):
+            def __iter__(self):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", Unread("1\n"))
+        for argv in ([command, "1", "--n", "-1"], [command, "--stdin", "--n", "-3"]):
+            assert invoke(capsys, *argv) == (1, "", "usage error: --n must be nonnegative\n")
+
     def test_huge_forced_ground_fails_fast_with_a_short_message(self, capsys):
         code, _, err = invoke(capsys, "stats", "1 / 2", "--n", "2000000")
         assert code == 2

@@ -8,7 +8,6 @@ from hypothesis import given
 from bpartitions import (
     DuplicateElementError,
     GroundMismatchError,
-    GroundSet,
     InternalInvariantError,
     NotFullGroundError,
     PartitionError,
@@ -17,6 +16,7 @@ from bpartitions import (
     complement,
     left_points,
     make_partition,
+    require_full_ground,
     right_points,
     statistics,
     validate,
@@ -25,30 +25,11 @@ from conftest import BIG, BIG_MIRROR_IMAGE, partitions
 from bpartitions.textio import parse_partition
 
 
-class TestGroundSet:
-    def test_of_sorts_and_validates(self):
-        g = GroundSet.of([7, 3, 5])
-        assert g.elements == (3, 5, 7)
-        assert list(g) == [3, 5, 7]
-        assert 5 in g and 4 not in g
-
-    def test_rejects_duplicates_and_nonpositive(self):
-        with pytest.raises(DuplicateElementError):
-            GroundSet.of([1, 1])
-        with pytest.raises(PartitionError):
-            GroundSet.of([0, 1])
-
-    def test_is_full(self):
-        assert GroundSet.full(4).is_full()
-        assert GroundSet.of([]).is_full()
-        assert not GroundSet.of([1, 3]).is_full()
-
-
 class TestMakePartition:
     def test_worked_example_canonical_text(self):
         part = make_partition(
             [[1], [2], [3, 11, 12], [4, -7, 9, 10], [5, 6, -8]],
-            GroundSet.full(12),
+            tuple(range(1, 13)),
         )
         assert str(part) == BIG
 
@@ -77,11 +58,23 @@ class TestMakePartition:
 
     def test_ground_mismatch_message_names_sizes_and_first_difference(self):
         with pytest.raises(GroundMismatchError) as info:
-            make_partition([[1], [3]], GroundSet.full(100_000))
+            make_partition([[1], [3]], tuple(range(1, 100_001)))
         assert str(info.value) == (
             "blocks cover 2 elements but the ground set has 100000; "
             "first difference at index 1: 3 vs 2"
         )
+
+    def test_unsorted_explicit_ground_is_stored_sorted(self):
+        part = make_partition([[7], [3, -5]], [7, 3, 5])
+        assert part.ground == (3, 5, 7)
+        assert part == make_partition([[7], [3, -5]])
+
+    @pytest.mark.parametrize("ground", [[1, 1], [0, 1], [-1, 1], [1] * 100_000])
+    def test_bad_explicit_ground_is_a_bounded_mismatch(self, ground):
+        with pytest.raises(GroundMismatchError) as info:
+            make_partition([[1]], ground)
+        assert isinstance(info.value, PartitionError)
+        assert len(str(info.value)) < 120
 
     def test_empty_and_zero_member(self):
         with pytest.raises(PartitionError):
@@ -90,7 +83,7 @@ class TestMakePartition:
             make_partition([[0, 1]])
 
     def test_validate_catches_raw_garbage(self):
-        bad = SignedPartition(GroundSet.full(2), ((2,), (1,)))
+        bad = SignedPartition(tuple(range(1, 3)), ((2,), (1,)))
         with pytest.raises(InternalInvariantError):
             validate(bad)
 
@@ -150,6 +143,12 @@ class TestComplement:
     def test_double_application(self, big):
         assert complement(complement(big, 12), 12) == big
 
+    def test_full_ground_check(self):
+        assert require_full_ground(make_partition([])) == 0
+        assert require_full_ground(make_partition([[1, -3], [2]])) == 3
+        with pytest.raises(NotFullGroundError):
+            require_full_ground(make_partition([[1], [3]]))
+
     def test_requires_full_ground(self):
         with pytest.raises(NotFullGroundError):
             complement(make_partition([[1], [3]]), 3)
@@ -190,7 +189,7 @@ def test_complement_preserves_statistics(part):
 
 def adjacency_pairs(part):
     st = statistics(part)
-    ts = part.ground.elements
+    ts = part.ground
     r = len(ts)
     return {(ts[j - 1], ts[j % r]) for j in st.adjacency_positions}
 

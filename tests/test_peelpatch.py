@@ -14,7 +14,6 @@ from bpartitions import (
     AlreadyCoreError,
     AnchorMissingError,
     GroundMismatchError,
-    GroundSet,
     InternalInvariantError,
     MalformedLayerError,
     NotFullGroundError,
@@ -86,7 +85,7 @@ class TestPeel:
         trace = peel(big, Side.LEFT)
         assert len(trace.layers) == 4
         assert str(trace.core) == CORE
-        assert trace.original_ground == GroundSet.full(12)
+        assert trace.original_ground == tuple(range(1, 13))
         stages = trace_stages(trace)
         assert stages[0] == big
         for step, singles, points, remainder in PEEL_LEFT_ROWS:
@@ -125,50 +124,57 @@ class TestPatchStep:
     def test_side_points_become_singletons(self):
         stage = parse_partition("4,-7 / 6,-8")
         layer = PeelLayer(4, frozenset(), frozenset({10}), Side.LEFT)
-        out = patch_step(stage, layer, Side.RIGHT, GroundSet.of([4, 6, 7, 8, 10]))
+        out = patch_step(stage, layer, Side.RIGHT, (4, 6, 7, 8, 10))
         assert str(out) == "4,-7 / 6,-8 / 10"
 
     def test_run_attaches_to_cyclic_predecessor(self):
         stage = parse_partition("4,-7 / 6,-8 / 10")
         layer = PeelLayer(3, frozenset({3}), frozenset(), Side.LEFT)
-        out = patch_step(stage, layer, Side.RIGHT, GroundSet.of([3, 4, 6, 7, 8, 10]))
+        out = patch_step(stage, layer, Side.RIGHT, (3, 4, 6, 7, 8, 10))
         assert str(out) == "3,10 / 4,-7 / 6,-8"
 
     def test_run_attaches_to_cyclic_successor(self):
         stage = parse_partition("3 / 5,-7 / 6,-9")
         layer = PeelLayer(3, frozenset({10}), frozenset(), Side.RIGHT)
-        out = patch_step(stage, layer, Side.LEFT, GroundSet.of([3, 5, 6, 7, 9, 10]))
+        out = patch_step(stage, layer, Side.LEFT, (3, 5, 6, 7, 9, 10))
         assert str(out) == "3,10 / 5,-7 / 6,-9"
+
+    def test_target_ground_may_be_any_iterable(self):
+        stage = parse_partition("4,-7 / 6,-8")
+        layer = PeelLayer(4, frozenset(), frozenset({10}), Side.LEFT)
+        out = patch_step(stage, layer, Side.RIGHT, [10, 8, 7, 6, 4])
+        assert out == patch_step(stage, layer, Side.RIGHT, (4, 6, 7, 8, 10))
+        assert out.ground == (4, 6, 7, 8, 10)
 
     def test_empty_stage_single_block_branch(self):
         layer = PeelLayer(1, frozenset({1, 2}), frozenset(), Side.LEFT)
-        out = patch_step(make_partition([]), layer, Side.RIGHT, GroundSet.full(2))
+        out = patch_step(make_partition([]), layer, Side.RIGHT, tuple(range(1, 3)))
         assert str(out) == "1,2"
 
     def test_empty_stage_all_singleton_branch(self):
         layer = PeelLayer(1, frozenset(), frozenset({1, 2, 3}), Side.LEFT)
-        out = patch_step(make_partition([]), layer, Side.RIGHT, GroundSet.full(3))
+        out = patch_step(make_partition([]), layer, Side.RIGHT, tuple(range(1, 4)))
         assert str(out) == "1 / 2 / 3"
 
     def test_ground_mismatch(self):
         layer = PeelLayer(1, frozenset({3}), frozenset(), Side.LEFT)
         with pytest.raises(GroundMismatchError):
-            patch_step(parse_partition("4,-7"), layer, Side.RIGHT, GroundSet.of([3, 4]))
+            patch_step(parse_partition("4,-7"), layer, Side.RIGHT, (3, 4))
 
     def test_attach_must_oppose_peel_side(self):
         layer = PeelLayer(1, frozenset({3}), frozenset(), Side.LEFT)
         with pytest.raises(MalformedLayerError):
-            patch_step(parse_partition("4,-7"), layer, Side.LEFT, GroundSet.of([3, 4, 7]))
+            patch_step(parse_partition("4,-7"), layer, Side.LEFT, (3, 4, 7))
 
     def test_malformed_mixed_layer_on_empty_stage(self):
         layer = PeelLayer(1, frozenset({1}), frozenset({2}), Side.LEFT)
         with pytest.raises(MalformedLayerError):
-            patch_step(make_partition([]), layer, Side.RIGHT, GroundSet.full(2))
+            patch_step(make_partition([]), layer, Side.RIGHT, tuple(range(1, 3)))
 
     def test_empty_layer_rejected(self):
         layer = PeelLayer(1, frozenset(), frozenset(), Side.LEFT)
         with pytest.raises(MalformedLayerError):
-            patch_step(parse_partition("1,-2"), layer, Side.RIGHT, GroundSet.full(2))
+            patch_step(parse_partition("1,-2"), layer, Side.RIGHT, tuple(range(1, 3)))
 
     def test_anchor_missing_in_corrupted_trace(self):
         # predecessor of the run {2} inside {2,3,4} is 4, which sits in the
@@ -176,7 +182,7 @@ class TestPatchStep:
         stage = make_partition([[3]])
         layer = PeelLayer(1, frozenset({2}), frozenset({4}), Side.LEFT)
         with pytest.raises(AnchorMissingError):
-            patch_step(stage, layer, Side.RIGHT, GroundSet.of([2, 3, 4]))
+            patch_step(stage, layer, Side.RIGHT, (2, 3, 4))
 
     def test_matches_every_genuine_patch_stage(self):
         # n = 1..6, both sides: each step rebuilds the next stage of patch_stages
@@ -197,7 +203,7 @@ class TestPatchStep:
         # whose singletons are {3, 4}, not the layer's side points {4}
         layer = PeelLayer(1, frozenset({2}), frozenset({4}), Side.LEFT)
         with pytest.raises(InternalInvariantError, match="patch at layer 1"):
-            patch_step(parse_partition("1 / 3"), layer, Side.RIGHT, GroundSet.full(4))
+            patch_step(parse_partition("1 / 3"), layer, Side.RIGHT, tuple(range(1, 5)))
 
 
 class TestPatch:
@@ -225,7 +231,7 @@ class TestPatch:
         # anchored at 3 they close the cycle, so 3 becomes a side point too,
         # and un-peeled as singletons they leave 3 a singleton as well
         layer = PeelLayer(1, frozenset({1, 2}), frozenset(), Side.LEFT)
-        trace = PeelTrace((layer,), make_partition([[3]]), GroundSet.full(3))
+        trace = PeelTrace((layer,), make_partition([[3]]), tuple(range(1, 4)))
         with pytest.raises(InternalInvariantError, match="patch at layer 1"):
             patch_stages(trace, Side.RIGHT)
         with pytest.raises(InternalInvariantError, match="un-peel at layer 1"):
@@ -496,7 +502,7 @@ def _corrupt(rng, trace):
     rebuilt = tuple(
         PeelLayer(i + 1, frozenset(s), frozenset(p), side) for i, (s, p, side) in enumerate(layers)
     )
-    return PeelTrace(rebuilt, core, GroundSet.of(ground))
+    return PeelTrace(rebuilt, core, tuple(sorted(ground)))
 
 
 def _fuzz_case(rng, case):
@@ -517,7 +523,7 @@ def _fuzz_case(rng, case):
         target = set(stage_elems) | singles | points
         if rng.random() < 0.15:
             target ^= {rng.choice(universe)}
-        return "patch_step", lambda: str(patch_step(stage, layer, attach, GroundSet.of(target)))
+        return "patch_step", lambda: str(patch_step(stage, layer, attach, tuple(sorted(target))))
     if kind == 4:
         part = _random_partition(rng, _random_ground(rng, rng.randrange(0, 9)))
         side, step = rng.choice(list(Side)), rng.randrange(1, 4)

@@ -9,7 +9,6 @@ from hypothesis import given
 
 from bpartitions import (
     GroundMismatchError,
-    GroundSet,
     Side,
     ZeroBlockError,
     for_each,
@@ -56,12 +55,12 @@ class TestParse:
             parse_partition("1,-1")
 
     def test_forced_ground(self):
-        part = parse_partition("1,2", GroundSet.full(2))
+        part = parse_partition("1,2", tuple(range(1, 3)))
         assert len(part.ground) == 2
         with pytest.raises(GroundMismatchError):
-            parse_partition("1,2", GroundSet.full(3))
+            parse_partition("1,2", tuple(range(1, 4)))
         with pytest.raises(GroundMismatchError):
-            parse_partition("()", GroundSet.full(1))
+            parse_partition("()", tuple(range(1, 2)))
 
     @pytest.mark.parametrize(
         "text,position",

@@ -25,6 +25,8 @@ involution and preserves both statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -52,8 +54,11 @@ class InternalInvariantError(RuntimeError):
     """A structurally guaranteed property failed; this always indicates a bug."""
 
 
-def _normalize_block(members: Iterable[int]) -> tuple[int, ...]:
-    ms = sorted(members, key=abs)
+_by_abs = partial(sorted, key=abs)
+
+
+def _check_block(ms: list[int]) -> None:
+    """Raise the first problem of one block, given its members sorted by abs."""
     if not ms:
         raise PartitionError("blocks must be nonempty")
     prev = 0
@@ -65,9 +70,6 @@ def _normalize_block(members: Iterable[int]) -> tuple[int, ...]:
                 raise ZeroBlockError(f"block contains both {prev} and {m}")
             raise DuplicateElementError(f"{m} occurs twice in one block")
         prev = m
-    if ms[0] < 0:
-        ms = [-m for m in ms]
-    return tuple(ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,11 +118,15 @@ def make_partition(
     when given, it is sorted and must equal that support exactly, so a
     duplicate, zero or negative element raises :class:`GroundMismatchError`.
     """
-    norm = sorted(_normalize_block(b) for b in blocks)
-    covered = sorted(abs(m) for b in norm for m in b)
-    for i in range(1, len(covered)):
-        if covered[i] == covered[i - 1]:
-            raise DuplicateElementError(f"|{covered[i]}| occurs in more than one block")
+    ordered = list(map(_by_abs, blocks))
+    covered = sorted(map(abs, chain.from_iterable(ordered)))
+    if not all(ordered) or (covered and not covered[0]) or len(set(covered)) < len(covered):
+        # the first problem, found member by member
+        for ms in ordered:
+            _check_block(ms)
+        for i in range(1, len(covered)):
+            if covered[i] == covered[i - 1]:
+                raise DuplicateElementError(f"|{covered[i]}| occurs in more than one block")
     support = tuple(covered)
     if ground is not None:
         given = tuple(sorted(ground))
@@ -129,6 +135,8 @@ def make_partition(
                 f"blocks cover {len(support)} elements but the ground set has "
                 f"{len(given)}; {_first_difference(support, given)}"
             )
+    norm = [tuple(ms) if ms[0] > 0 else tuple([-m for m in ms]) for ms in ordered]
+    norm.sort()
     return SignedPartition(support, tuple(norm))
 
 

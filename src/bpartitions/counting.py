@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .core import PartitionError
 
@@ -38,7 +39,7 @@ DISTRIBUTION_LIMIT = 250
 
 # Largest n, or order, that the ``count`` command computes.  At 1000,
 # ``singleton_free_egf`` takes about 0.3 s (0.01 s at the census order, 300)
-# and ``total_count`` peaks near 210 MB (2-vCPU Xeon, Python 3.11).  |V_1801|
+# and ``count --n`` peaks near 20 MB (2-vCPU Xeon, Python 3.11).  |V_1801|
 # is the first count with more than the 4,300 digits that int-to-text
 # conversion allows.
 COUNT_LIMIT = 1000
@@ -62,9 +63,23 @@ def _short(x: int) -> str:
     return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
 
 
-# Row k holds S(k, 0..k).  Rows are appended whole, so concurrent readers
-# only ever observe finished rows.
-_stirling_rows: list[list[int]] = [[1]]
+def _stirling_rows(n: int) -> Iterator[list[int]]:
+    """Rows S(m, 0..m) of Stirling numbers of the second kind for m = 0..n.
+
+    Each row is built from the one before by the standard recurrence, and
+    only the row last yielded is kept.
+    """
+    row = [1]
+    yield row
+    for m in range(1, n + 1):
+        row = [0, *[row[i - 1] + i * row[i] for i in range(1, m)], row[m - 1]]
+        yield row
+
+
+def _total(row: list[int]) -> int:
+    """|V_m| from Stirling row m: the sum over j of 2**(m-j) * S(m, j)."""
+    m = len(row) - 1
+    return sum(s << (m - j) for j, s in enumerate(row))
 
 
 def stirling2(k: int, j: int) -> int:
@@ -73,29 +88,27 @@ def stirling2(k: int, j: int) -> int:
         raise ValueError("stirling2 arguments must be nonnegative")
     if j > k:
         return 0
-    while len(_stirling_rows) <= k:
-        prev = _stirling_rows[-1]
-        m = len(_stirling_rows)
-        row = [0] * (m + 1)
-        for i in range(1, m):
-            row[i] = prev[i - 1] + i * prev[i]
-        row[m] = prev[m - 1]
-        _stirling_rows.append(row)
-    return _stirling_rows[k][j]
+    for row in _stirling_rows(k):
+        pass
+    return row[j]
 
 
 def total_count(n: int) -> int:
     """|V_n| = sum over block-pair counts j of 2**(n-j) * S(n, j)."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return sum(2 ** (n - j) * stirling2(n, j) for j in range(n + 1))
+    for row in _stirling_rows(n):
+        pass
+    return _total(row)
 
 
 def singleton_free_ie(n: int) -> int:
     """Count of singleton-pair-free partitions in V_n by inclusion-exclusion."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return sum((-1) ** (n - k) * comb(n, k) * total_count(k) for k in range(n + 1))
+    return sum(
+        (-1) ** (n - k) * comb(n, k) * _total(row) for k, row in enumerate(_stirling_rows(n))
+    )
 
 
 def singleton_free_egf(upto: int) -> list[int]:
@@ -214,7 +227,7 @@ def distribution(n: int, *, limit: int = DISTRIBUTION_LIMIT) -> BivariateDistrib
     if n == 1:
         table[1][1] = 1
     else:
-        totals = [total_count(j) for j in range(n + 1)]
+        totals = [_total(row) for row in _stirling_rows(n)]
         # rows[k][a]: coefficient of (x-1)**k * y**a
         rows = [
             _shift([c * totals[n - k - m] for m, c in enumerate(row)])

@@ -58,7 +58,6 @@ from .core import (
     PartitionError,
     GroundMismatchError,
     SignedPartition,
-    make_partition,
     require_full_ground,
     complement,
 )
@@ -108,6 +107,10 @@ class PeelTrace:
     core: SignedPartition
     original_ground: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # stored sorted, as make_partition and patch_step store a ground
+        object.__setattr__(self, "original_ground", tuple(sorted(self.original_ground)))
+
 
 # A stage is the kernel's form of a partition: its ground as a sorted list ``ts``
 # and a dict ``key`` giving each element 2 * label + (sign > 0), where the label
@@ -127,11 +130,23 @@ def _stage(part: SignedPartition) -> tuple[list[int], dict[int, int]]:
 
 
 def _materialize(ts: list[int], key: dict[int, int]) -> SignedPartition:
+    """The canonical partition of a stage, built without re-sorting.
+
+    ``ts`` is sorted, and its elements are distinct positives: a stage starts
+    from a partition's ground, and :func:`_merge` admits only a layer of
+    positives disjoint from the stage.  So scanning it lists each block's
+    members by increasing absolute value and the blocks by their least
+    member, which is the canonical order; what is left is to negate a block
+    whose first member is negative.
+    """
     blocks: dict[int, list[int]] = {}
     for t in ts:
         k = key[t]
         blocks.setdefault(k >> 1, []).append(t if k & 1 else -t)
-    return make_partition(blocks.values())
+    return SignedPartition(
+        tuple(ts),
+        tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks.values()]),
+    )
 
 
 def _layers(ts: list[int], key: dict[int, int], side: Side) -> Iterator[PeelLayer]:
@@ -213,6 +228,8 @@ def _merge(
         raise MalformedLayerError("layer carries no elements")
     if runs & fresh:
         raise MalformedLayerError("layer singletons and side points overlap")
+    if min(added) < 1:
+        raise MalformedLayerError("layer elements must be positive")
     if not key.keys().isdisjoint(added):
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"

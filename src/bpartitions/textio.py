@@ -5,6 +5,9 @@ representative per block pair, e.g. ``1 / 2 / 3,11,12 / 4,-7,9,10 / 5,6,-8``.
 The empty partition is the literal ``()``.  Output is canonical and unique;
 parsing is forgiving about whitespace, accepts either representative of each
 block pair, and understands both the ASCII hyphen and the Unicode minus sign.
+A line is parsed with one regex match of the whole grammar plus splits; a
+line that does not match is walked element by element only to report its
+first problem.
 
 Traces render either as an aligned table (step, singletons, side points,
 remainder) or as machine-readable records: one JSON object per line with a
@@ -31,6 +34,8 @@ class ParseError(PartitionError):
 
 _UNICODE_MINUS = chr(0x2212)
 _ELEMENT = re.compile(r"-?\d+")
+_LINE = re.compile(r"\s*-?\d+\s*(?:[,/]\s*-?\d+\s*)*")
+_SPACE = re.compile(r"\s*")
 
 
 def format_partition(part: SignedPartition) -> str:
@@ -44,55 +49,55 @@ def parse_partition(
 ) -> SignedPartition:
     """Parse partition text; the inverse of :func:`format_partition`.
 
-    With ``ground`` omitted, the support is inferred from the absolute values
-    present; a given ground is checked as :func:`~bpartitions.core.make_partition`
-    checks it.
+    A line is matched once against the whole grammar and then split into
+    blocks and members; only a line that fails is walked element by element,
+    to report its first problem from the left.  With ``ground`` omitted, the
+    support is inferred from the absolute values present; a given ground is
+    checked as :func:`~bpartitions.core.make_partition` checks it.
     """
     s = text.replace(_UNICODE_MINUS, "-")
-    n = len(s)
-
-    def skip(i: int) -> int:
-        while i < n and s[i].isspace():
-            i += 1
-        return i
-
-    i = skip(0)
-    if i < n and s[i] == "(":
-        j = skip(i + 1)
-        if j >= n or s[j] != ")":
-            raise ParseError("expected ')'", j)
-        j = skip(j + 1)
-        if j < n:
-            raise ParseError("trailing text after '()'", j)
-        return make_partition([], ground)
-    blocks: list[list[int]] = []
-    current: list[int] = []
-    while True:
-        i = skip(i)
-        m = _ELEMENT.match(s, i)
-        if not m:
-            raise ParseError("expected an element", i)
+    m = _LINE.match(s)
+    if m and m.end() == len(s):
         try:
-            value = int(m.group())
+            # strip first: int() does not strip \x1c-\x1f, which \s accepts
+            blocks = [list(map(int, map(str.strip, b.split(",")))) for b in s.split("/")]
         except ValueError:  # more digits than int() accepts
-            raise ParseError("element has too many digits", i) from None
+            raise _first_problem(s, m) from None
+        if any(0 in b for b in blocks):
+            raise _first_problem(s, m)
+        return make_partition(blocks, ground)
+    i = _SPACE.match(s).end()
+    if s[i : i + 1] != "(":
+        raise _first_problem(s, m)
+    j = _SPACE.match(s, i + 1).end()
+    if s[j : j + 1] != ")":
+        raise ParseError("expected ')'", j)
+    j = _SPACE.match(s, j + 1).end()
+    if j < len(s):
+        raise ParseError("trailing text after '()'", j)
+    return make_partition([], ground)
+
+
+def _first_problem(s: str, m: re.Match[str] | None) -> ParseError:
+    """The error for the leftmost problem in ``s``, given its grammar match.
+
+    The elements before the point where the match stopped come first: one
+    that is zero or too long for int() is the problem.  Otherwise it is
+    what stopped the match.
+    """
+    if m is None:
+        return ParseError("expected an element", _SPACE.match(s).end())
+    stop = m.end()
+    for e in _ELEMENT.finditer(s, 0, stop):
+        try:
+            value = int(e.group())
+        except ValueError:
+            return ParseError("element has too many digits", e.start())
         if value == 0:
-            raise ParseError("elements must be nonzero", i)
-        current.append(value)
-        i = skip(m.end())
-        if i >= n:
-            break
-        if s[i] == ",":
-            i += 1
-            continue
-        if s[i] == "/":
-            blocks.append(current)
-            current = []
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {s[i]!r}", i)
-    blocks.append(current)
-    return make_partition(blocks, ground)
+            return ParseError("elements must be nonzero", e.start())
+    if s[stop] in ",/":
+        return ParseError("expected an element", _SPACE.match(s, stop + 1).end())
+    return ParseError(f"unexpected character {s[stop]!r}", stop)
 
 
 def set_text(elements: Iterable[int]) -> str:

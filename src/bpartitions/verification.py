@@ -144,6 +144,7 @@ def _inspect(part, acc: _Accumulator) -> None:
     image = forward[-1]
 
     with _Charge(acc, "psi-statistic-swap", text):
+        _call("validate", validate, image)
         ist = _call("statistics", statistics, image)
         _expect((ist.singletons, ist.adjacencies) == (st.adjacencies, st.singletons))
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 
@@ -223,3 +227,76 @@ def test_statistics_bounds(part):
     assert st.singletons == len(st.singleton_elements)
     assert st.adjacencies == len(st.adjacency_positions)
     validate(part)
+
+
+def _raw_case(rng):
+    """Seeded raw blocks and ground: a partition in any representative and
+    order, with up to two corruptions, and a ground that is often wrong."""
+    elements = rng.sample(range(1, 14), rng.randrange(8))
+    blocks: list[list[int]] = []
+    for t in elements:
+        choice = rng.randrange(2 * len(blocks) + 1)
+        if choice == 0:
+            blocks.append([t])
+        else:
+            blocks[(choice - 1) // 2].append(t if choice % 2 else -t)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        kind = rng.randrange(5)
+        if kind == 0:
+            blocks.append([])
+        elif blocks:
+            block = rng.choice(blocks)
+            x = rng.choice(rng.choice(blocks) or [1])
+            block.append((0, -x, x, rng.choice((x, -x)))[kind - 1])
+    for block in blocks:
+        rng.shuffle(block)
+    rng.shuffle(blocks)
+    support = sorted({abs(m) for b in blocks for m in b})
+    kind = rng.randrange(8)
+    if kind < 3:
+        ground = None
+    elif kind == 3:
+        ground = support
+    elif kind == 4:
+        ground = rng.sample(support, len(support))
+    elif kind == 5:
+        ground = support + [rng.choice((0, -1, 20, *support[:1]))]
+    elif kind == 6:
+        ground = support[1:]
+    else:
+        ground = [rng.randrange(-1, 14) for _ in range(len(support))]
+    if rng.random() < 0.3:  # single-pass iterables
+        return map(iter, blocks), iter(ground) if ground is not None else None
+    return blocks, ground
+
+
+def make_partition_outcomes(seed, cases):
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(cases):
+        blocks, ground = _raw_case(rng)
+        try:
+            part = make_partition(blocks, ground)
+            outcomes.append(f"ok {part.ground} {part}")
+        except PartitionError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+# Recorded from the member-by-member canonicaliser: the outcomes of the
+# 20,000 raw cases of seed 5, counted by outcome, and a digest of every line.
+MAKE_FUZZ_COUNTS = {
+    "DuplicateElementError": 3011,
+    "GroundMismatchError": 3548,
+    "PartitionError": 4280,
+    "ZeroBlockError": 1753,
+    "ok": 7408,
+}
+MAKE_FUZZ_DIGEST = "5c56b27cf252f09a34654e0603291c5ed17290b082b7733430fe95395c4341d3"
+
+
+def test_make_partition_outcomes_are_pinned():
+    outcomes = make_partition_outcomes(5, 20_000)
+    counts = Counter(line.split(":", 1)[0] if ":" in line else "ok" for line in outcomes)
+    assert counts == MAKE_FUZZ_COUNTS
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == MAKE_FUZZ_DIGEST

@@ -35,6 +35,7 @@ from bpartitions import (
     psi_inverse,
     statistics,
     trace_stages,
+    validate,
 )
 from bpartitions.textio import parse_partition
 from conftest import (
@@ -176,6 +177,13 @@ class TestPatchStep:
         with pytest.raises(MalformedLayerError):
             patch_step(parse_partition("1,-2"), layer, Side.RIGHT, tuple(range(1, 3)))
 
+    def test_nonpositive_layer_elements_rejected(self):
+        # -2 would return as a singleton of a stage whose ground is not a
+        # ground of positives
+        layer = PeelLayer(1, frozenset(), frozenset({-2}), Side.LEFT)
+        with pytest.raises(MalformedLayerError, match="positive"):
+            patch_step(parse_partition("1,-3"), layer, Side.RIGHT, (-2, 1, 3))
+
     def test_anchor_missing_in_corrupted_trace(self):
         # predecessor of the run {2} inside {2,3,4} is 4, which sits in the
         # layer's own side points rather than in the stage
@@ -241,6 +249,12 @@ class TestPatch:
         part = make_partition([[1, -2]])
         trace = peel(part, Side.LEFT)
         assert patch(trace, Side.RIGHT) == part
+
+    def test_trace_ground_may_be_any_iterable(self, big):
+        t = peel(big, Side.LEFT)
+        trace = PeelTrace(t.layers, t.core, list(reversed(t.original_ground)))
+        assert trace.original_ground == t.original_ground
+        assert patch(trace, Side.RIGHT) == psi(big)
 
 
 class TestPsi:
@@ -436,6 +450,38 @@ def check_stages_by_rescan(part):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_every_stage_matches_a_full_rescan(n):
     for_each(n, check_stages_by_rescan)
+
+
+def check_results_are_canonical(part):
+    # The kernel builds its results without make_partition; they must be the
+    # partitions make_partition builds from the same blocks, ground included.
+    built = []
+    for side in Side:
+        trace = peel(part, side)
+        stages = patch_stages(trace, side.opposite)
+        remainders = trace_stages(trace)
+        built += [trace.core, *stages, *remainders]
+        built += [peel_step(rest, side)[1] for rest in remainders[:-1]]
+        built += [
+            patch_step(stage, layer, side.opposite, above.ground)
+            for stage, layer, above in zip(stages, reversed(trace.layers), stages[1:])
+        ]
+    if not part.ground or part.ground[-1] == len(part.ground):
+        built += [psi(part), psi_inverse(part)]
+    for p in built:
+        assert p == make_partition(p.blocks), (str(part), str(p))
+        validate(p)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_kernel_results_are_canonical(n):
+    for_each(n, check_results_are_canonical)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_partitions(max_n=120))
+def test_nested_kernel_results_are_canonical(part):
+    check_results_are_canonical(part)
 
 
 @settings(max_examples=30, deadline=None)

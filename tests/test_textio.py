@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
 from bpartitions import (
     GroundMismatchError,
+    PartitionError,
     Side,
     ZeroBlockError,
     for_each,
@@ -34,6 +38,31 @@ class TestFormat:
 
     def test_single_block(self):
         assert format_partition(make_partition([[4, -7]])) == "4,-7"
+
+
+NINES = "9" * 5000
+
+# (text, offset, message): the first problem from the left is the one reported
+SYNTAX_ERRORS = [
+    ("", 0, "expected an element"),
+    ("1,,2", 2, "expected an element"),
+    ("1 2", 2, "unexpected character '2'"),
+    ("1,", 2, "expected an element"),
+    ("/1", 0, "expected an element"),
+    ("1,-", 2, "expected an element"),
+    ("0", 0, "elements must be nonzero"),
+    ("() junk", 3, "trailing text after '()'"),
+    ("1;2", 1, "unexpected character ';'"),
+    ("1, /2", 3, "expected an element"),
+    ("1,0", 2, "elements must be nonzero"),
+    ("-0", 0, "elements must be nonzero"),
+    ("0," + NINES, 0, "elements must be nonzero"),
+    ("1," + NINES, 2, "element has too many digits"),
+    ("1 x", 2, "unexpected character 'x'"),
+    ("1//2", 2, "expected an element"),
+    ("\x1e", 1, "expected an element"),
+    ("( 1", 2, "expected ')'"),
+]
 
 
 class TestParse:
@@ -62,24 +91,21 @@ class TestParse:
         with pytest.raises(GroundMismatchError):
             parse_partition("()", tuple(range(1, 2)))
 
+    def test_separators_are_stripped_of_any_whitespace(self):
+        # \s and str.isspace() accept \x1c-\x1f, which int() does not strip
+        assert str(parse_partition("1\x1c/\x1f2")) == "1 / 2"
+
     @pytest.mark.parametrize(
-        "text,position",
-        [
-            ("", 0),
-            ("1,,2", 2),
-            ("1 2", 2),
-            ("1,", 2),
-            ("/1", 0),
-            ("1,-", 2),
-            ("0", 0),
-            ("() junk", 3),
-            ("1;2", 1),
-        ],
+        "text,position,message",
+        SYNTAX_ERRORS,
+        ids=[f"{text[:12]}...{len(text)}" if len(text) > 40 else f"{text}-{position}"
+             for text, position, _ in SYNTAX_ERRORS],
     )
-    def test_syntax_errors_report_position(self, text, position):
+    def test_syntax_errors_report_position(self, text, position, message):
         with pytest.raises(ParseError) as err:
             parse_partition(text)
         assert err.value.position == position
+        assert str(err.value) == f"{message} (at offset {position})"
 
     def test_round_trip_exhaustive_small(self):
         def check(part):
@@ -92,6 +118,84 @@ class TestParse:
 @given(partitions(max_n=9, full_ground=False))
 def test_round_trip_random(part):
     assert parse_partition(format_partition(part)) == part
+
+
+_SPACES = " \t\n\x1c\x1d\x1e\x1f\u00a0\u3000"
+_ARABIC_INDIC = "".join(chr(0x660 + d) for d in range(10))
+_FULL = _SPACES + ",/-()x+_\u2212" + "0123456789" + _ARABIC_INDIC
+# Random strings draw from one of three alphabets: the grammar's own
+# characters, every kind of whitespace with separators, and the full set.
+_ALPHABETS = ("0123456789,/- ", _SPACES + "123,/", _FULL)
+
+
+def _fuzz_element(rng):
+    if rng.random() < 0.01:
+        return rng.choice("0123456789") + "".join(rng.choices("0123456789", k=4999))
+    digits = "0123456789" if rng.random() < 0.8 else _ARABIC_INDIC
+    value = str(rng.randrange(13)).translate(str.maketrans("0123456789", digits))
+    return rng.choice(("", "", "-", "\u2212")) + value
+
+
+def _fuzz_text(rng, case):
+    """One seeded input line: random characters, or a line of blocks with a
+    few random edits."""
+    kind = case % 4
+    if kind < 3:
+        return "".join(rng.choices(_ALPHABETS[kind], k=rng.randrange(16)))
+    if rng.random() < 0.05:
+        return "".join(rng.choices(_SPACES, k=rng.randrange(3))).join("( )")
+
+    def space():
+        return "".join(rng.choices(_SPACES, k=rng.randrange(3))) if rng.random() < 0.3 else ""
+
+    blocks = [
+        ",".join(space() + _fuzz_element(rng) + space() for _ in range(rng.randrange(1, 4)))
+        for _ in range(rng.randrange(1, 5))
+    ]
+    chars = list(rng.choice(("/", " / ")).join(blocks))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            chars.insert(at, rng.choice(_FULL))
+        elif at < len(chars):
+            if edit == 1:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(_FULL)
+    return "".join(chars)
+
+
+def text_fuzz_outcomes(seed, cases):
+    rng = random.Random(seed)
+    outcomes = []
+    for case in range(cases):
+        text = _fuzz_text(rng, case)
+        ground = tuple(range(1, rng.randrange(8))) if rng.random() < 0.1 else None
+        try:
+            outcomes.append(f"ok {parse_partition(text, ground)}")
+        except PartitionError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+# Recorded from the character-by-character scanner: the outcomes of the
+# 20,000 strings of seed 11, counted by outcome, and a digest of every line.
+TEXT_FUZZ_COUNTS = {
+    "DuplicateElementError": 867,
+    "GroundMismatchError": 473,
+    "ParseError": 14402,
+    "ZeroBlockError": 230,
+    "ok": 4028,
+}
+TEXT_FUZZ_DIGEST = "69ce8b6cc7eba3be308262033b3d72cc99b33741d617b1ae2efc4724c8cb4f33"
+
+
+def test_parse_outcomes_are_pinned():
+    outcomes = text_fuzz_outcomes(11, 20_000)
+    counts = Counter(line.split(":", 1)[0] if ":" in line else "ok" for line in outcomes)
+    assert counts == TEXT_FUZZ_COUNTS
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == TEXT_FUZZ_DIGEST
 
 
 TRACE_TABLE = """\

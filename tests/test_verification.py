@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 import bpartitions.verification as verification
-from bpartitions import BivariateDistribution, for_each, make_partition, total_count
+from bpartitions import (
+    BivariateDistribution,
+    SignedPartition,
+    for_each,
+    make_partition,
+    psi,
+    total_count,
+)
 from bpartitions.verification import Report, iter_suite, sweep
 
 
@@ -85,12 +92,20 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
     # witness, or the first worker's to report, would name a later partition
     assert first % 3 != 0
 
+    # psi-statistic-swap validates the image of psi, so it fails too, first
+    # at the first partition whose image is signed
+    first_image = next(i for i, p in enumerate(order) if signed(psi(p)))
+    assert first_image % 3 != 0
+
     split, whole = sweep(5, jobs=3), sweep(5, jobs=1)
     assert pools == [3]
     assert split.witnesses == whole.witnesses
-    assert set(whole.witnesses) == {"validity"}
+    assert set(whole.witnesses) == {"validity", "psi-statistic-swap"}
     assert whole.witnesses["validity"] == (
         f"witness {order[first]} (validate raised RuntimeError: sabotaged)"
+    )
+    assert whole.witnesses["psi-statistic-swap"] == (
+        f"witness {order[first_image]} (validate raised RuntimeError: sabotaged)"
     )
 
 
@@ -104,6 +119,20 @@ def test_broken_patch_is_caught(monkeypatch):
     reports = [r for r in iter_suite(2) if r.name == "psi-statistic-swap"]
     failed = [r for r in reports if not r.ok]
     assert failed and "witness" in failed[0].detail
+
+
+def test_a_non_canonical_image_is_caught(monkeypatch):
+    # sabotage: the image of psi with its blocks out of order keeps both
+    # statistics, so only validating it shows the fault
+    real = verification.patch_stages
+
+    def unsorted(trace, attach):
+        *stages, image = real(trace, attach)
+        return (*stages, SignedPartition(image.ground, image.blocks[::-1]))
+
+    monkeypatch.setattr(verification, "patch_stages", unsorted)
+    failed = {r.name: r.detail for r in iter_suite(3) if not r.ok}
+    assert "validate raised InternalInvariantError" in failed["psi-statistic-swap"]
 
 
 def test_broken_map_is_caught(monkeypatch):

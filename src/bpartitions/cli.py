@@ -1,12 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 internal invariant
-violation (a guaranteed property failed, which is always a bug).
+violation (a guaranteed property failed, which is always a bug), and 141
+(128 + SIGPIPE, what a shell reports for a process that signal ended) when
+the reader of standard output closed it early, as ``| head -1`` does; the
+rest of the output is dropped and nothing is written to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -310,7 +314,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; pointed at devnull, that
+        # flush cannot fail and print a second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -252,10 +252,22 @@ def complement(part: SignedPartition, n: int) -> SignedPartition:
     An involution: applying it twice returns the input.  Both statistics are
     preserved; the adjacency at (t_j, t_{j+1}) lands on
     (n-t_{j+1}+1, n-t_j+1).
+
+    The result is canonical by construction, without :func:`make_partition`.
+    The mirror reverses the order of absolute values and maps {1..n} onto
+    itself, so the ground stays ``part.ground``, and a stored block read
+    backwards and mirrored is sorted by absolute value again; negating it
+    when its first member is negative makes it the positive representative,
+    and sorting the blocks as tuples orders them by that first member, their
+    least absolute value, since no two blocks share one.
+    ``tests/test_core.py::test_complement_matches_make_partition`` holds it
+    to :func:`make_partition` of the mirrored blocks on all of V_0..V_7.
     """
     require_full_ground(part, n)
-    mirrored = [
-        [(n + 1 - abs(m)) * (1 if m > 0 else -1) for m in block]
-        for block in part.blocks
-    ]
-    return make_partition(mirrored, part.ground)
+    top = n + 1
+    blocks = []
+    for block in part.blocks:
+        mirrored = [top - x if x > 0 else -top - x for x in reversed(block)]
+        blocks.append(tuple(mirrored) if mirrored[0] > 0 else tuple([-x for x in mirrored]))
+    blocks.sort()
+    return SignedPartition(part.ground, tuple(blocks))

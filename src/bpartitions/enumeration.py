@@ -10,11 +10,12 @@ The walk keeps both statistics as it places elements.  Opening a block adds a
 singleton pair and joining a block of size one removes one; (i-1, i) is an
 adjacency pair exactly when i joins the block of i-1 with the same sign, and
 the wrap-around pair (n, 1) exactly when n ends in block 0 with sign +.
-:func:`walk` calls ``leaf(blocks, s, a)`` at every leaf with the live block
-lists and the two counts, so a leaf that only counts builds no object;
-:func:`for_each` builds a :class:`SignedPartition` there.  The leaf order is
-fixed, so a leaf's visit index names it; a parallel sweep splits V_n by that
-index.
+:func:`walk` calls ``leaf(blocks, s, a)`` at every leaf with the live list
+of blocks and the two counts, so a leaf that only counts builds no object.
+A block is kept as a tuple, extended by one element at each placement, so
+:func:`for_each` builds its :class:`SignedPartition` there with one
+``tuple(blocks)``.  The leaf order is fixed, so a leaf's visit index names
+it; a parallel sweep splits V_n by that index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 from .core import SignedPartition
 
 Visitor = Callable[[SignedPartition], object]
-Leaf = Callable[[list[list[int]], int, int], object]
+Leaf = Callable[[list[tuple[int, ...]], int, int], object]
 
 
 class _Stop(Exception):
@@ -34,11 +35,12 @@ class _Stop(Exception):
 def walk(n: int, leaf: Leaf) -> int:
     """Place elements 1..n in every way; return the leaf count.
 
-    ``leaf`` receives the live block lists with the singleton and adjacency
-    counts, the wrap-around pair included.  Returning ``False`` from ``leaf``
-    stops the walk.
+    ``leaf`` receives the live list of blocks, each a tuple, with the
+    singleton and adjacency counts, the wrap-around pair included; the list
+    changes as the walk goes on, its tuples do not.  Returning ``False``
+    from ``leaf`` stops the walk.
     """
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     count = 0
 
     def descend(i: int, s: int, a: int, pb: int, ps: bool) -> None:
@@ -52,16 +54,16 @@ def walk(n: int, leaf: Leaf) -> int:
                 raise _Stop
             return
         j = i + 1
-        blocks.append([i])
+        blocks.append((i,))
         descend(j, s + 1, a, len(blocks) - 1, True)
         blocks.pop()
         for k, b in enumerate(blocks):
             t = s - (len(b) == 1)
-            b.append(i)
+            blocks[k] = b + (i,)
             descend(j, t, a + (k == pb and ps), k, True)
-            b[-1] = -i
+            blocks[k] = b + (-i,)
             descend(j, t, a + (k == pb and not ps), k, False)
-            b.pop()
+            blocks[k] = b
 
     try:
         descend(1, 0, 0, -1, True)
@@ -81,7 +83,7 @@ def for_each(n: int, visitor: Visitor) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     ground = tuple(range(1, n + 1))
 
-    def leaf(blocks: list[list[int]], s: int, a: int) -> object:
-        return visitor(SignedPartition(ground, tuple(map(tuple, blocks))))
+    def leaf(blocks: list[tuple[int, ...]], s: int, a: int) -> object:
+        return visitor(SignedPartition(ground, tuple(blocks)))
 
     return walk(n, leaf)

@@ -43,7 +43,11 @@ objects are built only where a public function returns one: the core of a
 :class:`PeelTrace`, each entry of :func:`patch_stages` and
 :func:`trace_stages`, and the results of :func:`patch`, :func:`peel_step`,
 :func:`patch_step`, ``psi`` and ``psi_inverse``.  So ``psi`` builds one per
-call however many layers its input peels into.
+call however many layers its input peels into.  Likewise a layer inside the
+kernel is a plain tuple holding two sets: :class:`PeelLayer` objects, with
+their frozensets, are built only by :func:`peel` and :func:`peel_step`, so
+``psi`` and ``psi_inverse`` build none, and the functions that take a
+trace convert its layers once, on entry.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .core import (
     InternalInvariantError,
@@ -112,24 +116,26 @@ class PeelTrace:
         object.__setattr__(self, "original_ground", tuple(sorted(self.original_ground)))
 
 
-# A stage is the kernel's form of a partition: its ground as a sorted list ``ts``
-# and a dict ``key`` giving each element 2 * label + (sign > 0), where the label
-# names the block pair.  Cyclic neighbours form an adjacency exactly when their
-# keys are equal, and a block is a singleton exactly when its label occurs
-# once.  Keys only compare for equality, so a stage never needs renormalising;
-# a run element takes its anchor's key whatever sign the anchor has in its
-# block.
+# A stage is the kernel's form of a partition: its ground as a sorted sequence
+# ``ts`` and a dict ``key`` giving each element 2 * label + (sign > 0), where the
+# label names the block pair.  Cyclic neighbours form an adjacency exactly when
+# their keys are equal, and a block is a singleton exactly when its label
+# occurs once.  Keys only compare for equality, so a stage never needs
+# renormalising; a run element takes its anchor's key whatever sign the anchor
+# has in its block.  Inside the kernel a layer is the plain tuple
+# ``(step, singletons, side_points, side)``.
 
 
-def _stage(part: SignedPartition) -> tuple[list[int], dict[int, int]]:
-    key: dict[int, int] = {}
-    for label, block in enumerate(part.blocks):
-        for m in block:
-            key[abs(m)] = 2 * label + (m > 0)
-    return list(part.ground), key
+def _key(part: SignedPartition) -> dict[int, int]:
+    return {abs(m): 2 * label + (m > 0) for label, block in enumerate(part.blocks) for m in block}
 
 
-def _materialize(ts: list[int], key: dict[int, int]) -> SignedPartition:
+def _plain(layers: Iterable[PeelLayer]) -> list[tuple]:
+    """The kernel's form of public layers."""
+    return [(x.step, x.singletons, x.side_points, x.side) for x in layers]
+
+
+def _materialize(ts: Sequence[int], key: dict[int, int]) -> SignedPartition:
     """The canonical partition of a stage, built without re-sorting.
 
     ``ts`` is sorted, and its elements are distinct positives: a stage starts
@@ -149,25 +155,26 @@ def _materialize(ts: list[int], key: dict[int, int]) -> SignedPartition:
     )
 
 
-def _layers(ts: list[int], key: dict[int, int], side: Side) -> Iterator[PeelLayer]:
-    """The peel layers of the stage ``ts``, numbered from 1.
+def _layers(part: SignedPartition, key: dict[int, int], side: Side) -> Iterator[tuple]:
+    """The peel layers of ``part`` in the kernel's form, numbered from 1.
 
-    Each layer is deleted from ``key`` when the next one is asked for, so an
-    exhausted generator leaves ``key`` holding the core.  Only the first layer
-    is a full scan.  A layer takes every singleton and side point, so the
-    next one holds only elements whose status changed: the last alive member
-    of a label, which is a singleton, and the neighbour whose link now skips
-    a removed run (its predecessor for LEFT, successor for RIGHT), which may
-    be a side point.
+    ``key`` is the stage of ``part``.  Each layer is deleted from it when the
+    next one is asked for, so an exhausted generator leaves ``key`` holding
+    the core.  Only the first layer is a full scan, read off the blocks and
+    the ground.  A layer takes every singleton and side point, so the next
+    one holds only elements whose status changed: the last alive member of a
+    label, which is a singleton, and the neighbour whose link now skips a
+    removed run (its predecessor for LEFT, successor for RIGHT), which may be
+    a side point.
     """
+    ts = part.ground
     following = ts[1:] + ts[:1]
     succ, pred = dict(zip(ts, following)), dict(zip(following, ts))
     link, seam = (succ, pred) if side is Side.LEFT else (pred, succ)
-    members: dict[int, set[int]] = {}
-    for t in ts:
-        members.setdefault(key[t] >> 1, set()).add(t)
-    singles = {t for t in ts if len(members[key[t] >> 1]) == 1}
-    points = {t for t in ts if key[t] == key[link[t]]}
+    members = [set(map(abs, b)) for b in part.blocks]
+    singles = {b[0] for b in part.blocks if len(b) == 1}
+    pairs = zip(ts, following) if side is Side.LEFT else zip(following, ts)  # (t, link[t])
+    points = {t for t, u in pairs if key[t] == key[u]}
     step = 0
     while singles or points:
         if len(key) == 1:
@@ -178,7 +185,7 @@ def _layers(ts: list[int], key: dict[int, int], side: Side) -> Iterator[PeelLaye
                 f"{_materialize([t for t in ts if t in key], key)}"
             )
         step += 1
-        yield PeelLayer(step, frozenset(singles), frozenset(points), side)
+        yield step, singles, points, side
         gone = singles | points
         seams = {seam[u] for u in gone} - gone
         labels = set()
@@ -198,13 +205,14 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     Removal always acts on +x and -x together, so the remainder is again a
     valid symmetric partition without zero-block.
     """
-    ts, key = _stage(part)
-    layer = next(_layers(ts, key, side), None)
+    key = _key(part)
+    layer = next(_layers(part, key, side), None)
     if layer is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
-    gone = layer.singletons | layer.side_points
-    rest = _materialize([t for t in ts if t not in gone], key)
-    return PeelLayer(step, layer.singletons, layer.side_points, side), rest
+    _, singles, points, _ = layer
+    gone = singles | points
+    rest = _materialize([t for t in part.ground if t not in gone], key)
+    return PeelLayer(step, frozenset(singles), frozenset(points), side), rest
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -213,20 +221,23 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     A core input yields an empty layer list.  Each step strictly shrinks the
     ground set, so at most r steps occur; the core may be empty.
     """
-    ts, key = _stage(part)
-    layers = tuple(_layers(ts, key, side))
-    core = _materialize([t for t in ts if t in key], key) if layers else part
+    key = _key(part)
+    layers = tuple(
+        PeelLayer(step, frozenset(singles), frozenset(points), side)
+        for step, singles, points, _ in _layers(part, key, side)
+    )
+    core = _materialize([t for t in part.ground if t in key], key) if layers else part
     return PeelTrace(layers, core, part.ground)
 
 
 def _merge(
-    ts: list[int], key: dict[int, int], runs: frozenset[int], fresh: frozenset[int]
+    ts: Sequence[int], key: dict[int, int], runs: AbstractSet[int], fresh: AbstractSet[int]
 ) -> list[int]:
     """The ground of a stage with a layer merged in, checking they are disjoint."""
     added = runs | fresh
     if not added:
         raise MalformedLayerError("layer carries no elements")
-    if runs & fresh:
+    if not runs.isdisjoint(fresh):
         raise MalformedLayerError("layer singletons and side points overlap")
     if min(added) < 1:
         raise MalformedLayerError("layer elements must be positive")
@@ -234,7 +245,9 @@ def _merge(
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
-    return sorted(ts + list(added))
+    merged = [*ts, *added]
+    merged.sort()
+    return merged
 
 
 def _anchor(merged: list[int], at: list[int], key: dict[int, int], attach: Side) -> list[int]:
@@ -246,23 +259,28 @@ def _anchor(merged: list[int], at: list[int], key: dict[int, int], attach: Side)
     one that has a key.  Returns the anchors.
     """
     r = len(merged)
-    spans: list[list[int]] = []  # [first, last] positions, one per run
+    spans: list[tuple[int, int]] = []  # (first, last) positions, one per run
+    first = last = at[0]
     for p in at:
-        if spans and spans[-1][1] == p - 1:
-            spans[-1][1] = p
-        else:
-            spans.append([p, p])
-    if len(spans) > 1 and spans[0][0] == 0 and spans[-1][1] == r - 1:
-        spans[0][0] = spans.pop()[0]
+        if p > last + 1:
+            spans.append((first, last))
+            first = p
+        last = p
+    if spans and spans[0][0] == 0 and last == r - 1:
+        spans[0] = (first, spans[0][1])  # one run across the seam, r - 1 to 0
+    else:
+        spans.append((first, last))
     anchors = []
     for first, last in spans:
-        anchor = merged[first - 1] if attach is Side.RIGHT else merged[(last + 1) % r]
-        run = [merged[p % r] for p in range(first, last + 1 + (r if first > last else 0))]
+        anchor = merged[first - 1] if attach is Side.RIGHT else merged[last + 1 - r]
+        run = merged[first : last + 1] if first <= last else merged[first:] + merged[: last + 1]
         if anchor not in key:
             raise AnchorMissingError(
                 f"run {run} is anchored at {anchor}, which is absent from the stage"
             )
-        key.update(dict.fromkeys(run, key[anchor]))
+        k = key[anchor]
+        for t in run:
+            key[t] = k
         anchors.append(anchor)
     return anchors
 
@@ -285,19 +303,19 @@ def patch_step(
     if attach is layer.side:
         raise MalformedLayerError("attach side must be opposite the peel side")
     target = tuple(sorted(target_ground))
-    ts, key = _stage(stage)
-    if tuple(_merge(ts, key, layer.singletons, layer.side_points)) != target:
+    key = _key(stage)
+    if tuple(_merge(stage.ground, key, layer.singletons, layer.side_points)) != target:
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
-    return _fold(ts, key, len(stage.blocks), (layer,), attach, target, stage)
+    return _fold(stage.ground, key, len(stage.blocks), _plain((layer,)), attach, target, stage)
 
 
 def _unfold(
-    ts: list[int],
+    ts: Sequence[int],
     key: dict[int, int],
     labels: int,
-    layers: Sequence[PeelLayer],
+    layers: Sequence[tuple],
     attach: Side | None,
     ground: tuple[int, ...],
 ) -> Iterator[list[int]]:
@@ -305,9 +323,10 @@ def _unfold(
     reverse peel order; ``key`` is updated in place and holds the keys of
     the stage last yielded, and ``labels`` bounds the labels it uses.
 
-    With ``attach`` given, each layer is patched in on that side with the two
-    roles interchanged; with None it is un-peeled with its original roles.
-    The last stage must have ``ground``.
+    ``layers`` are in the kernel's form.  With ``attach`` given, each layer
+    is patched in on that side with the two roles interchanged; with None it
+    is un-peeled with its original roles.  The last stage must have
+    ``ground``.
 
     Every stage must carry the layer's returning elements as its singleton
     set and the anchored ones as its side points on the attach side, and a
@@ -329,20 +348,23 @@ def _unfold(
         label = key[t] >> 1
         count[label] = count.get(label, 0) + 1
     singles = {t for t in ts if count[key[t] >> 1] == 1} if 1 in count.values() else set()
-    following = ts[1:] + ts[:1]
-    lefts = {t for t, u in zip(ts, following) if key[t] == key[u]}
-    # Adjacencies pair left and right points one to one.
-    rights = {u for t, u in zip(ts, following) if key[t] == key[u]} if lefts else set()
-    for layer in reversed(layers):
+    lefts: set[int] = set()
+    rights: set[int] = set()
+    for t, u in zip(ts, ts[1:] + ts[:1]):
+        if key[t] == key[u]:
+            lefts.add(t)
+            rights.add(u)
+    for step, singletons, side_points, side in reversed(layers):
         if attach is None:
-            side, runs, fresh, what = layer.side, layer.side_points, layer.singletons, "un-peel"
-        elif attach is layer.side:
+            runs, fresh, what = side_points, singletons, "un-peel"
+        elif attach is side:
             raise MalformedLayerError("attach side must be opposite the peel side")
         else:
-            side, runs, fresh, what = attach, layer.singletons, layer.side_points, "patch"
+            side, runs, fresh, what = attach, singletons, side_points, "patch"
         merged = _merge(ts, key, runs, fresh)
         r = len(merged)
-        at = [bisect_left(merged, t) for t in sorted(runs)]  # the layer's positions
+        # the positions of the layer's elements, runs first
+        at = [bisect_left(merged, t) for t in sorted(runs)] if runs else []
         anchors: list[int] = []
         if not ts and runs:
             if fresh:
@@ -361,19 +383,28 @@ def _unfold(
             count[labels] = 1
             labels += 1
             at.append(bisect_left(merged, t))
-        for t in (*runs, *fresh, *anchors):
-            if count[key[t] >> 1] == 1:
-                singles.add(t)
-            else:
-                singles.discard(t)
-        for p in at:
-            for t, u in ((merged[p - 1], merged[p]), (merged[p], merged[(p + 1) % r])):
-                if key[t] == key[u]:
-                    lefts.add(t)
-                    rights.add(u)
+        for touched in (runs, fresh, anchors):
+            for t in touched:
+                if count[key[t] >> 1] == 1:
+                    singles.add(t)
                 else:
-                    lefts.discard(t)
-                    rights.discard(u)
+                    singles.discard(t)
+        for p in at:
+            # the pairs (t, u) and (u, v) around the inserted u
+            t, u, v = merged[p - 1], merged[p], merged[p + 1 - r]
+            k = key[u]
+            if key[t] == k:
+                lefts.add(t)
+                rights.add(u)
+            else:
+                lefts.discard(t)
+                rights.discard(u)
+            if k == key[v]:
+                lefts.add(u)
+                rights.add(v)
+            else:
+                lefts.discard(u)
+                rights.discard(v)
         ts = merged
         if r == 1:
             # The lone element is singleton and side point at once.
@@ -381,7 +412,7 @@ def _unfold(
         points = lefts if side is Side.LEFT else rights
         if singles != fresh or points != runs:
             raise InternalInvariantError(
-                f"{what} at layer {layer.step} built a stage with singletons "
+                f"{what} at layer {step} built a stage with singletons "
                 f"{sorted(singles)} and side points {sorted(points)} instead of "
                 f"{sorted(fresh)} / {sorted(runs)}: {_materialize(ts, key)}"
             )
@@ -391,10 +422,10 @@ def _unfold(
 
 
 def _fold(
-    ts: list[int],
+    ts: Sequence[int],
     key: dict[int, int],
     labels: int,
-    layers: Sequence[PeelLayer],
+    layers: Sequence[tuple],
     attach: Side,
     ground: tuple[int, ...],
     unchanged: SignedPartition,
@@ -410,9 +441,10 @@ def _unfold_trace(
     trace: PeelTrace, attach: Side | None
 ) -> tuple[dict[int, int], Iterator[list[int]]]:
     """:func:`_unfold` from the core of ``trace``: the keys and the stages."""
-    ts, key = _stage(trace.core)
-    ground = trace.original_ground
-    return key, _unfold(ts, key, len(trace.core.blocks), trace.layers, attach, ground)
+    core = trace.core
+    key = _key(core)
+    layers = _plain(trace.layers)
+    return key, _unfold(core.ground, key, len(core.blocks), layers, attach, trace.original_ground)
 
 
 def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
@@ -434,9 +466,10 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     Only the result is built as a :class:`SignedPartition`; the stages below
     it are checked the same way but never materialised.
     """
-    ts, key = _stage(trace.core)
+    core = trace.core
+    layers = _plain(trace.layers)
     ground = trace.original_ground
-    return _fold(ts, key, len(trace.core.blocks), trace.layers, attach, ground, trace.core)
+    return _fold(core.ground, _key(core), len(core.blocks), layers, attach, ground, core)
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -454,10 +487,10 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
 
 def _swap(part: SignedPartition, side: Side) -> SignedPartition:
     """Peel ``part`` on ``side`` and patch it back on the other side, handing
-    the peeled keys straight to the patch."""
-    ts, key = _stage(part)
-    layers = tuple(_layers(ts, key, side))
-    core = [t for t in ts if t in key]
+    the peeled sets and keys straight to the patch."""
+    key = _key(part)
+    layers = list(_layers(part, key, side))
+    core = [t for t in part.ground if t in key]
     return _fold(core, key, len(part.blocks), layers, side.opposite, part.ground, part)
 
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bpartitions
 from bpartitions import total_count
 from bpartitions.cli import ENUMERATE_LIMIT, VERIFY_LIMIT, run
 from bpartitions.counting import COUNT_LIMIT
@@ -327,3 +332,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
         assert invoke(capsys)[0] == 1
+
+    def test_reader_closing_early_exits_quietly(self):
+        # enumerate --n 7 writes about 300 KB, more than a pipe holds, so the
+        # process is still writing when the reader stops after one line
+        src = str(Path(bpartitions.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-m", "bpartitions", "enumerate", "--n", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first == b"1 / 2 / 3 / 4 / 5 / 6 / 7\n"
+        assert code == 141
+        assert err == b""

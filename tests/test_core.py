@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from bpartitions import (
     DuplicateElementError,
@@ -18,6 +18,7 @@ from bpartitions import (
     SignedPartition,
     ZeroBlockError,
     complement,
+    for_each,
     left_points,
     make_partition,
     require_full_ground,
@@ -154,8 +155,11 @@ class TestComplement:
             require_full_ground(make_partition([[1], [3]]))
 
     def test_requires_full_ground(self):
-        with pytest.raises(NotFullGroundError):
-            complement(make_partition([[1], [3]]), 3)
+        sparse = make_partition([[1], [3]])
+        with pytest.raises(NotFullGroundError, match="2 elements .* 1..3; .* index 1: 3 vs 2$"):
+            complement(sparse, 3)
+        with pytest.raises(NotFullGroundError, match="2 elements .* 1..2; .* index 1: 3 vs 2$"):
+            complement(sparse, 2)
         with pytest.raises(NotFullGroundError, match="2 elements .* index 2: end vs 3$"):
             complement(make_partition([[1], [2]]), 3)
 
@@ -189,6 +193,27 @@ def test_complement_preserves_statistics(part):
     assert complement(mirrored, n) == part
     a, b = statistics(part), statistics(mirrored)
     assert (a.singletons, a.adjacencies) == (b.singletons, b.adjacencies)
+
+
+def check_complement_against_make_partition(part):
+    # complement builds its result canonical without make_partition; it must
+    # be what make_partition builds from the mirrored raw blocks
+    n = len(part.ground)
+    mirrored = [[(n + 1 - abs(m)) * (1 if m > 0 else -1) for m in b] for b in part.blocks]
+    image = complement(part, n)
+    assert image == make_partition(mirrored, part.ground), str(part)
+    validate(image)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_complement_matches_make_partition(n):
+    for_each(n, check_complement_against_make_partition)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions(max_n=300))
+def test_complement_matches_make_partition_at_scale(part):
+    check_complement_against_make_partition(part)
 
 
 def adjacency_pairs(part):

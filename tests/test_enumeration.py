@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from bpartitions import for_each, statistics, total_count, validate
@@ -81,6 +83,18 @@ class TestForEach:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             for_each(-1, lambda p: None)
+
+
+# Recorded from the walk that kept its blocks as lists: the text of every
+# partition for_each(n) visits, n = 0..7, one line each in visit order.
+FOR_EACH_DIGEST = "ea6680e5646e649f9f0ba7cc4bb50ab21137e292a5dcbada3215aae092ec0172"
+
+
+def test_visit_order_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(8):
+        for_each(n, lambda p: digest.update(f"{p}\n".encode()))
+    assert digest.hexdigest() == FOR_EACH_DIGEST
 
 
 def test_walk_counts_follow_for_each_order():

@@ -637,3 +637,51 @@ def test_corrupted_layers_and_traces_keep_their_errors():
     counts = Counter(" ".join(line.split(" ", 2)[:2]).rstrip(":") for line in outcomes)
     assert counts == FUZZ_COUNTS
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == FUZZ_DIGEST
+
+
+def _deep_family(n):
+    """1,-n / 2,n-1 / 3,n-2 / ...: one element per peel layer."""
+    blocks = [[i, n + 1 - i] for i in range(2, n // 2 + 1)]
+    if n % 2:
+        blocks.append([(n + 1) // 2])
+    if n > 1:
+        blocks.append([1, -n])
+    return make_partition(blocks)
+
+
+def _nested_family(rng, n):
+    """i paired with n+1-i, each pair signed at random: many peel layers."""
+    blocks = [[i, rng.choice((1, -1)) * (n + 1 - i)] for i in range(1, n // 2 + 1)]
+    if n % 2:
+        blocks.append([(n + 1) // 2])
+    return make_partition(blocks)
+
+
+def _mapped_text(part):
+    """The text of every map and of the stages on both sides, for one input."""
+    n = len(part.ground)
+    images = (psi(part), psi_inverse(part), involution(part), complement(part, n))
+    lines = [" ; ".join(map(str, images))]
+    for side in Side:
+        trace = peel(part, side)
+        lines.append(" | ".join(map(str, patch_stages(trace, side.opposite))))
+        lines.append(" | ".join(map(str, trace_stages(trace))))
+    return "\n".join(lines) + "\n"
+
+
+# Recorded from the kernel that built a PeelLayer per layer inside psi and a
+# complement through make_partition: the text of psi, psi_inverse,
+# involution, complement and both sides' patch_stages and trace_stages over
+# V_0..V_7, then the deep and nested families below.
+MAPPED_DIGEST = "ce0660407d3f89e50065ac9eef3c4ef0c5d11a1dc9c048ce02fee9768a7fecb9"
+
+
+def test_mapped_text_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(8):
+        for_each(n, lambda part: digest.update(_mapped_text(part).encode()))
+    rng = random.Random(12)
+    for n in [*range(13), 40, 80, 120, 160, 200]:
+        for part in (_deep_family(n), _nested_family(rng, n)):
+            digest.update(_mapped_text(part).encode())
+    assert digest.hexdigest() == MAPPED_DIGEST

@@ -18,10 +18,8 @@ from .core import (
     ZeroBlockError,
     adjacency_pairs,
     complement,
-    left_points,
     make_partition,
     require_full_ground,
-    right_points,
     statistics,
     validate,
 )
@@ -31,7 +29,6 @@ from .counting import (
     distribution,
     singleton_free_egf,
     singleton_free_ie,
-    stirling2,
     total_count,
 )
 from .enumeration import for_each
@@ -52,7 +49,7 @@ from .peelpatch import (
     psi_inverse,
     trace_stages,
 )
-from .textio import ParseError, format_partition, format_trace, parse_partition
+from .textio import ParseError, format_trace, parse_partition
 
 __version__ = "0.1.0"
 
@@ -78,10 +75,8 @@ __all__ = [
     "complement",
     "distribution",
     "for_each",
-    "format_partition",
     "format_trace",
     "involution",
-    "left_points",
     "make_partition",
     "parse_partition",
     "patch",
@@ -92,11 +87,9 @@ __all__ = [
     "psi",
     "psi_inverse",
     "require_full_ground",
-    "right_points",
     "singleton_free_egf",
     "singleton_free_ie",
     "statistics",
-    "stirling2",
     "total_count",
     "trace_stages",
     "validate",

@@ -45,7 +45,7 @@ class _UsageError(Exception):
 # Size guards of the two sweeping commands, checked before any work starts.
 # Measured on a 2-vCPU Xeon under Python 3.11: ``enumerate --n 9 --stats``
 # prints 609,441 lines (21 MB) in about 4 s, and each further n is about ten
-# times more; ``verify --max-n 8`` takes about 23 s with one job, and n = 9
+# times more; ``verify --max-n 8`` takes about 40 s with one job, and n = 9
 # would add some minutes.
 ENUMERATE_LIMIT = 9
 VERIFY_LIMIT = 8

@@ -88,10 +88,6 @@ class SignedPartition:
     ground: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.blocks
-
     def __str__(self) -> str:
         if not self.blocks:
             return "()"
@@ -217,16 +213,6 @@ def adjacency_pairs(part: SignedPartition, stats: Statistics) -> tuple[tuple[int
     ts = part.ground
     r = len(ts)
     return tuple((ts[j - 1], ts[j % r]) for j in stats.adjacency_positions)
-
-
-def left_points(part: SignedPartition) -> tuple[int, ...]:
-    """Sorted first members t_j of all adjacency pairs (t_j, t_{j+1})."""
-    return tuple(t for t, _ in adjacency_pairs(part, statistics(part)))
-
-
-def right_points(part: SignedPartition) -> tuple[int, ...]:
-    """Sorted second members t_{j+1} of all adjacency pairs (t_j, t_{j+1})."""
-    return tuple(sorted(u for _, u in adjacency_pairs(part, statistics(part))))
 
 
 def require_full_ground(part: SignedPartition, n: int | None = None) -> int:

@@ -82,24 +82,18 @@ def _total(row: list[int]) -> int:
     return sum(s << (m - j) for j, s in enumerate(row))
 
 
-def stirling2(k: int, j: int) -> int:
-    """Stirling number of the second kind, via the standard recurrence."""
-    if k < 0 or j < 0:
-        raise ValueError("stirling2 arguments must be nonnegative")
-    if j > k:
-        return 0
-    for row in _stirling_rows(k):
-        pass
-    return row[j]
-
-
-def total_count(n: int) -> int:
-    """|V_n| = sum over block-pair counts j of 2**(n-j) * S(n, j)."""
+def stirling_row(n: int) -> list[int]:
+    """S(n, 0..n): row n of the Stirling numbers of the second kind."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     for row in _stirling_rows(n):
         pass
-    return _total(row)
+    return row
+
+
+def total_count(n: int) -> int:
+    """|V_n| = sum over block-pair counts j of 2**(n-j) * S(n, j)."""
+    return _total(stirling_row(n))
 
 
 def singleton_free_ie(n: int) -> int:
@@ -168,10 +162,6 @@ class BivariateDistribution:
             for a, c in enumerate(row)
             if c
         ]
-
-    @property
-    def total(self) -> int:
-        return self.evaluate(1, 1)
 
 
 def markings(n: int) -> list[list[int]]:

@@ -38,16 +38,11 @@ _LINE = re.compile(r"\s*-?\d+\s*(?:[,/]\s*-?\d+\s*)*")
 _SPACE = re.compile(r"\s*")
 
 
-def format_partition(part: SignedPartition) -> str:
-    """Canonical one-line text; unique per partition."""
-    return str(part)
-
-
 def parse_partition(
     text: str,
     ground: Iterable[int] | None = None,
 ) -> SignedPartition:
-    """Parse partition text; the inverse of :func:`format_partition`.
+    """Parse partition text; the inverse of ``str(part)``.
 
     A line is matched once against the whole grammar and then split into
     blocks and members; only a line that fails is walked element by element,

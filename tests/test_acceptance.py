@@ -158,8 +158,8 @@ def test_criterion_4_symmetry_to_8(tables_to_9):
             for a in range(n + 1):
                 assert table[s][a] == table[a][s], (n, s, a)
         assert dist == distribution(n), n
-    assert tables[8].total == 75905
-    assert tables[9].total == total_count(9)
+    assert tables[8].evaluate(1, 1) == 75905
+    assert tables[9].evaluate(1, 1) == total_count(9)
     assert elapsed < 30.0, f"n=1..9 sweep took {elapsed:.1f} s"
     report(4, f"enumerated joint tables symmetric and equal to the closed form "
               f"for n=1..9 ({elapsed:.2f} s)")
@@ -215,7 +215,7 @@ def test_criterion_8_counting_triple_agreement(tables_to_9):
     tables, _ = tables_to_9
     for n in range(1, 10):
         assert tables[n].evaluate(0, 1) == series[n]
-        assert tables[n].total == total_count(n)
+        assert tables[n].evaluate(1, 1) == total_count(n)
 
     # n = 9 and 10 by direct enumeration, counting as we visit
     for n in (9, 10):

@@ -231,7 +231,7 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("bpartitions.verification.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         _, sequential, _ = invoke(capsys, "verify", "--max-n", "4")
         code, clamped, _ = invoke(capsys, "verify", "--max-n", "4", "--jobs", "1000")

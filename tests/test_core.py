@@ -17,12 +17,11 @@ from bpartitions import (
     PartitionError,
     SignedPartition,
     ZeroBlockError,
+    adjacency_pairs,
     complement,
     for_each,
-    left_points,
     make_partition,
     require_full_ground,
-    right_points,
     statistics,
     validate,
 )
@@ -121,19 +120,24 @@ class TestStatistics:
         assert (st.singletons, st.adjacencies) == (0, 0)
 
 
+def points(part):
+    """Left points (first members of the adjacency pairs, in position order)
+    and right points (the second members, sorted)."""
+    pairs = adjacency_pairs(part, statistics(part))
+    return tuple(t for t, _ in pairs), tuple(sorted(u for _, u in pairs))
+
+
 class TestPoints:
     def test_worked_example_left(self, big):
-        assert left_points(big) == (5, 9, 11)
-        assert right_points(big) == (6, 10, 12)
+        assert adjacency_pairs(big, statistics(big)) == ((5, 6), (9, 10), (11, 12))
+        assert points(big) == ((5, 9, 11), (6, 10, 12))
 
     def test_mirror_right(self, big_mirror):
-        assert right_points(big_mirror) == (2, 4, 8)
-        assert left_points(big_mirror) == (1, 3, 7)
+        assert points(big_mirror) == ((1, 3, 7), (2, 4, 8))
 
     def test_core_has_none(self):
         core = make_partition([[1, -2]])
-        assert left_points(core) == ()
-        assert right_points(core) == ()
+        assert adjacency_pairs(core, statistics(core)) == ()
 
 
 class TestComplement:
@@ -177,7 +181,7 @@ def test_renegated_blocks_normalize_back(part):
 @given(partitions(max_n=8, full_ground=False))
 def test_point_counts_match_adjacencies(part):
     st = statistics(part)
-    lp, rp = left_points(part), right_points(part)
+    lp, rp = points(part)
     assert len(lp) == len(rp) == st.adjacencies
     assert len(set(lp)) == len(lp) and len(set(rp)) == len(rp)
     if len(part.ground) >= 2:
@@ -216,11 +220,8 @@ def test_complement_matches_make_partition_at_scale(part):
     check_complement_against_make_partition(part)
 
 
-def adjacency_pairs(part):
-    st = statistics(part)
-    ts = part.ground
-    r = len(ts)
-    return {(ts[j - 1], ts[j % r]) for j in st.adjacency_positions}
+def pair_set(part):
+    return set(adjacency_pairs(part, statistics(part)))
 
 
 def test_complement_exhaustive_small():
@@ -236,8 +237,8 @@ def test_complement_exhaustive_small():
             # singletons mirror elementwise; the adjacency at (t_j, t_{j+1})
             # lands on (n-t_{j+1}+1, n-t_j+1)
             assert set(b.singleton_elements) == {n + 1 - t for t in a.singleton_elements}
-            assert adjacency_pairs(mirrored) == {
-                (n - right + 1, n - left + 1) for left, right in adjacency_pairs(part)
+            assert pair_set(mirrored) == {
+                (n - right + 1, n - left + 1) for left, right in pair_set(part)
             }
 
         for_each(n, check)

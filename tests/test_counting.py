@@ -16,10 +16,9 @@ from bpartitions import (
     singleton_free_egf,
     singleton_free_ie,
     statistics,
-    stirling2,
     total_count,
 )
-from bpartitions.counting import markings
+from bpartitions.counting import markings, stirling_row
 from bpartitions.enumeration import walk
 
 
@@ -69,18 +68,20 @@ P4 = [
 class TestStirling:
     @pytest.mark.parametrize("k", range(7))
     def test_against_brute_force(self, k):
-        for j in range(k + 2):
-            assert stirling2(k, j) == brute_stirling(k, j)
+        assert stirling_row(k) == [brute_stirling(k, j) for j in range(k + 1)]
 
     def test_known_values(self):
-        assert stirling2(3, 2) == 3
-        assert stirling2(4, 2) == 7
-        assert all(stirling2(k, k) == 1 for k in range(10))
-        assert all(stirling2(k, 0) == 0 for k in range(1, 10))
+        assert stirling_row(3)[2] == 3
+        assert stirling_row(4) == [0, 1, 7, 6, 1]
+        assert all(stirling_row(k)[k] == 1 for k in range(10))
+        assert all(stirling_row(k)[0] == 0 for k in range(1, 10))
+        assert stirling_row(0) == [1]
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            stirling2(-1, 0)
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            stirling_row(-1)
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            total_count(-1)
 
 
 class TestTotalCount:
@@ -128,7 +129,6 @@ class TestDistribution:
     def test_terms_and_evaluate(self):
         d = distribution(4)
         assert d.terms() == P4
-        assert d.total == 49
         assert d.evaluate(0, 1) == d.evaluate(1, 0) == 20
         assert d.evaluate(1, 1) == 49
 
@@ -136,7 +136,7 @@ class TestDistribution:
     def test_symmetry_and_triple_agreement(self, n):
         d = distribution(n)
         assert d.is_symmetric()
-        assert d.total == total_count(n)
+        assert d.evaluate(1, 1) == total_count(n)
         assert d.evaluate(0, 1) == d.evaluate(1, 0) == singleton_free_ie(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -166,7 +166,7 @@ class TestDistribution:
         for n in range(1, 61):
             d = distribution(n)
             assert d.is_symmetric(), n
-            assert d.total == total_count(n), n
+            assert d.evaluate(1, 1) == total_count(n), n
             for s, row in enumerate(d.table):
                 assert sum(row) == comb(n, s) * free[n - s], (n, s)
             assert d.evaluate(0, 1) == d.evaluate(1, 0) == series[n], n

@@ -36,7 +36,7 @@ class TestForEach:
     def test_n0_visits_empty_partition(self):
         seen = []
         assert for_each(0, lambda p: seen.append(p)) == 1
-        assert seen[0].is_empty
+        assert not seen[0].blocks
 
     def test_n1(self):
         assert collect(1) == ["1"]

@@ -114,11 +114,11 @@ class TestPeel:
         trace = peel(make_partition([[1], [2]]), Side.LEFT)
         assert len(trace.layers) == 1
         assert layer_sets(trace.layers[0]) == ({1, 2}, set())
-        assert trace.core.is_empty
+        assert not trace.core.blocks
 
     def test_empty_partition(self):
         trace = peel(make_partition([]), Side.LEFT)
-        assert trace.layers == () and trace.core.is_empty
+        assert trace.layers == () and not trace.core.blocks
 
 
 class TestPatchStep:

@@ -21,7 +21,6 @@ from bpartitions import (
 )
 from bpartitions.textio import (
     ParseError,
-    format_partition,
     format_patch_stages,
     format_trace,
     parse_partition,
@@ -31,13 +30,13 @@ from conftest import BIG, partitions
 
 class TestFormat:
     def test_worked_example(self, big):
-        assert format_partition(big) == BIG
+        assert str(big) == BIG
 
     def test_empty(self):
-        assert format_partition(make_partition([])) == "()"
+        assert str(make_partition([])) == "()"
 
     def test_single_block(self):
-        assert format_partition(make_partition([[4, -7]])) == "4,-7"
+        assert str(make_partition([[4, -7]])) == "4,-7"
 
 
 NINES = "9" * 5000
@@ -77,7 +76,7 @@ class TestParse:
 
     def test_empty_literal(self):
         assert parse_partition("()") == make_partition([])
-        assert parse_partition("  ( )  ").is_empty
+        assert not parse_partition("  ( )  ").blocks
 
     def test_zero_block(self):
         with pytest.raises(ZeroBlockError):
@@ -109,7 +108,7 @@ class TestParse:
 
     def test_round_trip_exhaustive_small(self):
         def check(part):
-            assert parse_partition(format_partition(part)) == part
+            assert parse_partition(str(part)) == part
 
         for n in range(6):
             for_each(n, check)
@@ -117,7 +116,7 @@ class TestParse:
 
 @given(partitions(max_n=9, full_ground=False))
 def test_round_trip_random(part):
-    assert parse_partition(format_partition(part)) == part
+    assert parse_partition(str(part)) == part
 
 
 _SPACES = " \t\n\x1c\x1d\x1e\x1f\u00a0\u3000"

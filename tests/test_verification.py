@@ -82,7 +82,7 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
             raise RuntimeError("sabotaged")
         return real_validate(part)
 
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr(verification, "validate", broken)
     order = []

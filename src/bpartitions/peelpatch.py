@@ -29,32 +29,25 @@ the inverse peel retrace the stages, so a violation raises
 same way.
 
 Every entry point runs on one private kernel in which a step costs its own
-layer, not the whole stage.  A stage is a sorted ground plus one integer key
-per element.  A peel keeps cyclic successor and predecessor links and the
-alive members of each label: only the first layer is a full scan, and each
-later one looks only at the elements a removal touched.  A patch or un-peel
-step merges the layer into the ground, finds each run's anchor by bisection,
-and updates the stage's singleton set and adjacency owners at the touched
-positions; the check after the step compares those whole sets with the
-layer.  Peeling and patching a partition of n elements thus costs
-O(n + Σ|layer|·log n) steps of Python, plus a C-level merge of each layer
-into the ground.  Canonical :class:`~bpartitions.core.SignedPartition`
-objects are built only where a public function returns one: the core of a
-:class:`PeelTrace`, each entry of :func:`patch_stages` and
-:func:`trace_stages`, and the results of :func:`patch`, :func:`peel_step`,
-:func:`patch_step`, ``psi`` and ``psi_inverse``.  So ``psi`` builds one per
-call however many layers its input peels into.  Likewise a layer inside the
-kernel is a plain tuple holding two sets: :class:`PeelLayer` objects, with
-their frozensets, are built only by :func:`peel` and :func:`peel_step`, so
-``psi`` and ``psi_inverse`` build none, and the functions that take a
-trace convert its layers once, on entry.
+layer.  Its stage lives on the ranks of a sorted universe ``us`` (a
+partition's ground, or a trace's core ground and layers): rank i stands for
+``us[i]``, ``key[i]`` is 2 * label + (sign > 0), where the label names the
+block pair, and ``succ`` and ``pred`` link the stage's ranks into a ring in
+increasing order.  These are lists indexed by rank, never by element value,
+so a sparse ground costs only its size.  Neighbours form an adjacency
+exactly when their keys are equal, and a block is a singleton exactly when
+its label occurs once.  A peel unlinks each layer from the ring; a patch or
+un-peel step re-links it in reverse order, which restores the ring the peel
+removed it from, and gives each run along the ring its anchor's key.  So
+peeling and patching n elements costs O(n + Σ|layer|) steps, with no merge,
+sort or search per layer, and ``psi`` builds one partition per call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .core import (
@@ -116,87 +109,94 @@ class PeelTrace:
         object.__setattr__(self, "original_ground", tuple(sorted(self.original_ground)))
 
 
-# A stage is the kernel's form of a partition: its ground as a sorted sequence
-# ``ts`` and a dict ``key`` giving each element 2 * label + (sign > 0), where the
-# label names the block pair.  Cyclic neighbours form an adjacency exactly when
-# their keys are equal, and a block is a singleton exactly when its label
-# occurs once.  Keys only compare for equality, so a stage never needs
-# renormalising; a run element takes its anchor's key whatever sign the anchor
-# has in its block.  Inside the kernel a layer is the plain tuple
-# ``(step, singletons, side_points, side)``.
+def _clip(text: str) -> str:
+    """``text`` with its middle elided past 100 characters, to bound a message."""
+    return text if len(text) <= 100 else f"{text[:45]} ... {text[-45:]}"
 
 
-def _key(part: SignedPartition) -> dict[int, int]:
-    return {abs(m): 2 * label + (m > 0) for label, block in enumerate(part.blocks) for m in block}
+def _elements(us: Sequence[int], ranks: Iterable[int]) -> str:
+    """The elements at ``ranks`` as a sorted list, for a message."""
+    return _clip(str([us[i] for i in sorted(ranks)]))
 
 
-def _plain(layers: Iterable[PeelLayer]) -> list[tuple]:
-    """The kernel's form of public layers."""
-    return [(x.step, x.singletons, x.side_points, x.side) for x in layers]
+def _key(blocks: Iterable[Sequence[int]], us: Iterable[int]) -> list[int]:
+    """The key of each element of ``us`` in the partition ``blocks``, or -1."""
+    where = {abs(m): 2 * label + (m > 0) for label, block in enumerate(blocks) for m in block}
+    return list(map(where.get, us, repeat(-1)))
 
 
-def _materialize(ts: Sequence[int], key: dict[int, int]) -> SignedPartition:
-    """The canonical partition of a stage, built without re-sorting.
+def _ring(r: int) -> tuple[list[int], list[int]]:
+    """Successor and predecessor lists of the ring over all ranks 0..r-1."""
+    return [*range(1, r), 0], [r - 1, *range(r - 1)]
 
-    ``ts`` is sorted, and its elements are distinct positives: a stage starts
-    from a partition's ground, and :func:`_merge` admits only a layer of
-    positives disjoint from the stage.  So scanning it lists each block's
-    members by increasing absolute value and the blocks by their least
-    member, which is the canonical order; what is left is to negate a block
-    whose first member is negative.
-    """
+
+def _materialize(
+    us: Sequence[int], key: list[int], keep: Iterable | None = None
+) -> SignedPartition:
+    """The canonical partition of the stage on the ranks ``keep`` selects, or
+    on all: the scan lists blocks and members in canonical order, so what is
+    left is to negate a block whose first member is negative."""
+    if keep is not None:
+        us, key = list(compress(us, keep)), list(compress(key, keep))
     blocks: dict[int, list[int]] = {}
-    for t in ts:
-        k = key[t]
+    for t, k in zip(us, key):
         blocks.setdefault(k >> 1, []).append(t if k & 1 else -t)
     return SignedPartition(
-        tuple(ts),
+        tuple(us),
         tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks.values()]),
     )
 
 
-def _layers(part: SignedPartition, key: dict[int, int], side: Side) -> Iterator[tuple]:
-    """The peel layers of ``part`` in the kernel's form, numbered from 1.
-
-    ``key`` is the stage of ``part``.  Each layer is deleted from it when the
-    next one is asked for, so an exhausted generator leaves ``key`` holding
-    the core.  Only the first layer is a full scan, read off the blocks and
-    the ground.  A layer takes every singleton and side point, so the next
-    one holds only elements whose status changed: the last alive member of a
-    label, which is a singleton, and the neighbour whose link now skips a
-    removed run (its predecessor for LEFT, successor for RIGHT), which may be
-    a side point.
+def _layers(
+    part: SignedPartition, key: list[int], succ: list[int], pred: list[int], side: Side
+) -> Iterator[tuple]:
+    """The peel layers of ``part`` in the kernel's form ``(step, singletons,
+    side_points, side, unlinked)``: two sets of ranks, and the ranks in the
+    order they were unlinked.  ``key``, ``succ`` and ``pred`` hold ``part``
+    on the full ring of its ground's ranks.  A layer is unlinked, its keys
+    set to -1, before it is yielded, so an exhausted generator leaves the
+    core.  Only the first layer is a full scan: the next one holds only the
+    last alive member of a label, a singleton, and the neighbour whose link
+    now skips a removed run, which may be a side point.
     """
     ts = part.ground
-    following = ts[1:] + ts[:1]
-    succ, pred = dict(zip(ts, following)), dict(zip(following, ts))
+    r = len(ts)
+    members: list[set[int]] = [set() for _ in part.blocks]
+    for i, k in enumerate(key):
+        members[k >> 1].add(i)
     link, seam = (succ, pred) if side is Side.LEFT else (pred, succ)
-    members = [set(map(abs, b)) for b in part.blocks]
-    singles = {b[0] for b in part.blocks if len(b) == 1}
-    pairs = zip(ts, following) if side is Side.LEFT else zip(following, ts)  # (t, link[t])
-    points = {t for t, u in pairs if key[t] == key[u]}
-    step = 0
+    singles = {next(iter(m)) for m in members if len(m) == 1}
+    points = {i for i in range(r) if key[i] == key[link[i]]}
+    alive, step = r, 0
     while singles or points:
-        if len(key) == 1:
+        if alive == 1:
             points = set()  # the lone element is recorded as a singleton only
         elif not points.isdisjoint(singles):
-            raise InternalInvariantError(
-                f"singletons and side points overlap in "
-                f"{_materialize([t for t in ts if t in key], key)}"
-            )
+            stage = _clip(str(_materialize(ts, key, [k >= 0 for k in key])))
+            raise InternalInvariantError(f"singletons and side points overlap in {stage}")
         step += 1
-        yield step, singles, points, side
-        gone = singles | points
-        seams = {seam[u] for u in gone} - gone
-        labels = set()
-        for u in gone:
+        unlinked = [*singles, *points]
+        seams = list(map(seam.__getitem__, unlinked))
+        labels = []
+        for u in unlinked:
             p, q = pred[u], succ[u]
             succ[p], pred[q] = q, p
-            label = key.pop(u) >> 1
+            label = key[u] >> 1
+            key[u] = -1
             members[label].discard(u)
-            labels.add(label)
-        singles = {next(iter(members[label])) for label in labels if len(members[label]) == 1}
-        points = {t for t in seams if key[t] == key[link[t]]}
+            labels.append(label)
+        alive -= len(unlinked)
+        yield step, singles, points, side, unlinked
+        singles = {i for label in labels if len(members[label]) == 1 for i in members[label]}
+        points = {i for i in seams if -1 < key[i] == key[link[i]]}  # -1: a removed rank
+
+
+def _peel_layer(ts: Sequence[int], step: int, layer: tuple) -> PeelLayer:
+    """The public form of a kernel layer, as step ``step``."""
+    _, singles, points, side, _ = layer
+    return PeelLayer(
+        step, frozenset(map(ts.__getitem__, singles)), frozenset(map(ts.__getitem__, points)), side
+    )
 
 
 def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLayer, SignedPartition]:
@@ -205,14 +205,12 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     Removal always acts on +x and -x together, so the remainder is again a
     valid symmetric partition without zero-block.
     """
-    key = _key(part)
-    layer = next(_layers(part, key, side), None)
+    key = _key(part.blocks, part.ground)
+    layer = next(_layers(part, key, *_ring(len(key)), side), None)
     if layer is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
-    _, singles, points, _ = layer
-    gone = singles | points
-    rest = _materialize([t for t in part.ground if t not in gone], key)
-    return PeelLayer(step, frozenset(singles), frozenset(points), side), rest
+    rest = _materialize(part.ground, key, [k >= 0 for k in key])
+    return _peel_layer(part.ground, step, layer), rest
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -221,75 +219,29 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     A core input yields an empty layer list.  Each step strictly shrinks the
     ground set, so at most r steps occur; the core may be empty.
     """
-    key = _key(part)
-    layers = tuple(
-        PeelLayer(step, frozenset(singles), frozenset(points), side)
-        for step, singles, points, _ in _layers(part, key, side)
-    )
-    core = _materialize([t for t in part.ground if t in key], key) if layers else part
-    return PeelTrace(layers, core, part.ground)
+    ts = part.ground
+    key = _key(part.blocks, ts)
+    layers = tuple(_peel_layer(ts, x[0], x) for x in _layers(part, key, *_ring(len(ts)), side))
+    core = _materialize(ts, key, [k >= 0 for k in key]) if layers else part
+    return PeelTrace(layers, core, ts)
 
 
-def _merge(
-    ts: Sequence[int], key: dict[int, int], runs: AbstractSet[int], fresh: AbstractSet[int]
-) -> list[int]:
-    """The ground of a stage with a layer merged in, checking they are disjoint."""
-    added = runs | fresh
-    if not added:
+def _check(singletons: AbstractSet[int], side_points: AbstractSet[int], clash: bool) -> None:
+    """Raise the first problem of a layer; ``clash``: it meets the stage or misses the ground."""
+    if not (singletons or side_points):
         raise MalformedLayerError("layer carries no elements")
-    if not runs.isdisjoint(fresh):
+    if not singletons.isdisjoint(side_points):
         raise MalformedLayerError("layer singletons and side points overlap")
-    if min(added) < 1:
+    if min(singletons | side_points) < 1:
         raise MalformedLayerError("layer elements must be positive")
-    if not key.keys().isdisjoint(added):
+    if clash:
         raise GroundMismatchError(
             "target ground is not the disjoint union of the stage ground and the layer"
         )
-    merged = [*ts, *added]
-    merged.sort()
-    return merged
-
-
-def _anchor(merged: list[int], at: list[int], key: dict[int, int], attach: Side) -> list[int]:
-    """Give each maximal cyclic run of the positions ``at`` its anchor's key.
-
-    ``at`` lists the run positions in ``merged`` in increasing order.  The
-    anchor is the run's cyclic predecessor when attaching on the right, its
-    cyclic successor when attaching on the left; it must be a stage element,
-    one that has a key.  Returns the anchors.
-    """
-    r = len(merged)
-    spans: list[tuple[int, int]] = []  # (first, last) positions, one per run
-    first = last = at[0]
-    for p in at:
-        if p > last + 1:
-            spans.append((first, last))
-            first = p
-        last = p
-    if spans and spans[0][0] == 0 and last == r - 1:
-        spans[0] = (first, spans[0][1])  # one run across the seam, r - 1 to 0
-    else:
-        spans.append((first, last))
-    anchors = []
-    for first, last in spans:
-        anchor = merged[first - 1] if attach is Side.RIGHT else merged[last + 1 - r]
-        run = merged[first : last + 1] if first <= last else merged[first:] + merged[: last + 1]
-        if anchor not in key:
-            raise AnchorMissingError(
-                f"run {run} is anchored at {anchor}, which is absent from the stage"
-            )
-        k = key[anchor]
-        for t in run:
-            key[t] = k
-        anchors.append(anchor)
-    return anchors
 
 
 def patch_step(
-    stage: SignedPartition,
-    layer: PeelLayer,
-    attach: Side,
-    target_ground: Iterable[int],
+    stage: SignedPartition, layer: PeelLayer, attach: Side, target_ground: Iterable[int]
 ) -> SignedPartition:
     """Patch one layer into ``stage`` with the two roles interchanged.
 
@@ -303,95 +255,105 @@ def patch_step(
     if attach is layer.side:
         raise MalformedLayerError("attach side must be opposite the peel side")
     target = tuple(sorted(target_ground))
-    key = _key(stage)
-    if tuple(_merge(stage.ground, key, layer.singletons, layer.side_points)) != target:
-        raise GroundMismatchError(
-            "target ground is not the disjoint union of the stage ground and the layer"
-        )
-    return _fold(stage.ground, key, len(stage.blocks), _plain((layer,)), attach, target, stage)
+    added = layer.singletons | layer.side_points
+    merged = {*stage.ground, *added}
+    clash = len(merged) < len(stage.ground) + len(added) or tuple(sorted(merged)) != target
+    _check(layer.singletons, layer.side_points, clash)
+    return patch(PeelTrace((layer,), stage, target), attach)
+
+
+def _anchor_missing(
+    us: Sequence[int], runs: set[int], fresh: set[int], ahead: list[int], behind: list[int],
+    side: Side,
+) -> AnchorMissingError:
+    """The error for the first run, in increasing order, whose anchor returns
+    with the layer instead of being a stage element."""
+    found = []
+    for end in (i for i in runs if behind[i] in fresh):
+        run = [end]
+        while ahead[run[-1]] in runs:
+            run.append(ahead[run[-1]])
+        found.append((min(run), run[::-1] if side is Side.LEFT else run, behind[end]))
+    _, run, anchor = min(found)
+    return AnchorMissingError(
+        f"run {_clip(str([us[i] for i in run]))} is anchored at {us[anchor]}, "
+        f"which is absent from the stage"
+    )
 
 
 def _unfold(
-    ts: Sequence[int],
-    key: dict[int, int],
-    labels: int,
-    layers: Sequence[tuple],
-    attach: Side | None,
-    ground: tuple[int, ...],
+    us: Sequence[int], key: list[int], succ: list[int], pred: list[int], core: list[int],
+    labels: int, layers: Iterable[tuple], attach: Side | None,
 ) -> Iterator[list[int]]:
-    """The grounds of the stages from the core ``ts`` up, one per layer in
-    reverse peel order; ``key`` is updated in place and holds the keys of
-    the stage last yielded, and ``labels`` bounds the labels it uses.
+    """Re-link ``layers`` into the stage on the increasing ranks ``core`` and
+    yield the ranks each one re-links; ``labels`` bounds the core's labels.
 
-    ``layers`` are in the kernel's form.  With ``attach`` given, each layer
-    is patched in on that side with the two roles interchanged; with None it
-    is un-peeled with its original roles.  The last stage must have
-    ``ground``.
+    With ``attach`` given, each layer is patched in on that side with the two
+    roles interchanged; with None it is un-peeled with its original roles.
+    Each rank of a layer kept its own two links when the peel unlinked it, so
+    re-linking in reverse unlink order restores every link (Knuth's dancing
+    links): the ring is again the stage the peel removed the layer from, in
+    increasing order, and a run is walked along it from its anchor.
 
     Every stage must carry the layer's returning elements as its singleton
-    set and the anchored ones as its side points on the attach side, and a
-    violation raises :class:`InternalInvariantError`.  The stage's whole
-    singleton set and its whole sets of adjacency owners (left and right
-    points) are compared, but they are kept up to date only where a step
-    touches the stage: at the layer's own elements, at the anchors, whose
-    labels grow, and at the pairs of neighbours that involve an inserted
-    position.  That is enough.  An element is a singleton when its label
-    occurs once, and owns an adjacency when its key equals its neighbour's.
-    An untouched element keeps its neighbours, since nothing was inserted
-    next to it, and its label count: only anchor labels grow, and a label
-    that occurred once has its anchor as its only member.  So its status
-    cannot change, and the comparison is the one a fresh scan of the stage
-    would make.
+    set and the anchored ones as its side points on the attach side, or
+    :class:`InternalInvariantError` is raised.  Those whole sets are compared
+    but updated only at the layer, at the anchors, whose labels grow, and at
+    the pairs of neighbours around a re-linked rank.  That is enough: an
+    untouched element keeps its neighbours, and its label grows only when it
+    shares an anchor's label, so it was no singleton before or after.  So its
+    status cannot change, and the comparison is the one a fresh scan would make.
     """
-    count: dict[int, int] = {}
-    for t in ts:
-        label = key[t] >> 1
-        count[label] = count.get(label, 0) + 1
-    singles = {t for t in ts if count[key[t] >> 1] == 1} if 1 in count.values() else set()
-    lefts: set[int] = set()
-    rights: set[int] = set()
-    for t, u in zip(ts, ts[1:] + ts[:1]):
-        if key[t] == key[u]:
-            lefts.add(t)
-            rights.add(u)
-    for step, singletons, side_points, side in reversed(layers):
-        if attach is None:
-            runs, fresh, what = side_points, singletons, "un-peel"
-        elif attach is side:
-            raise MalformedLayerError("attach side must be opposite the peel side")
-        else:
-            side, runs, fresh, what = attach, singletons, side_points, "patch"
-        merged = _merge(ts, key, runs, fresh)
-        r = len(merged)
-        # the positions of the layer's elements, runs first
-        at = [bisect_left(merged, t) for t in sorted(runs)] if runs else []
-        anchors: list[int] = []
-        if not ts and runs:
+    count = [0] * labels
+    lefts, rights = set(), set()
+    for i in core:
+        count[key[i] >> 1] += 1
+        if key[i] == key[succ[i]]:
+            lefts.add(i)
+            rights.add(succ[i])
+    singles = {i for i in core if count[key[i] >> 1] == 1} if 1 in count else set()
+    size = len(core)
+    for step, singletons, side_points, side, unlinked in layers:
+        runs, fresh = (side_points, singletons) if attach is None else (singletons, side_points)
+        side = side if attach is None else attach
+        for i in reversed(unlinked):
+            succ[pred[i]] = pred[succ[i]] = i
+        anchors = []
+        if runs and not size:
             if fresh:
                 raise MalformedLayerError(
                     "an empty stage accepts only an all-singleton or an all-side-point layer"
                 )
-            key.update(dict.fromkeys(runs, 2 * labels + 1))
-            count[labels] = 0
-            labels += 1
+            for i in runs:
+                key[i] = 2 * len(count) + 1
+            count.append(len(runs))
         elif runs:
-            anchors = _anchor(merged, at, key, side)
-        for t in runs:
-            count[key[t] >> 1] += 1
-        for t in fresh:
-            key[t] = 2 * labels + 1
-            count[labels] = 1
-            labels += 1
-            at.append(bisect_left(merged, t))
+            ahead, behind = (succ, pred) if side is Side.RIGHT else (pred, succ)
+            for i in runs:
+                anchor = behind[i]
+                if anchor in runs:
+                    continue  # not the end of its run next to the anchor
+                if anchor in fresh:
+                    raise _anchor_missing(us, runs, fresh, ahead, behind, side)
+                k = key[anchor]
+                label = k >> 1
+                while i in runs:
+                    key[i] = k
+                    count[label] += 1
+                    i = ahead[i]
+                anchors.append(anchor)
+        for i in fresh:
+            key[i] = 2 * len(count) + 1
+            count.append(1)
         for touched in (runs, fresh, anchors):
-            for t in touched:
-                if count[key[t] >> 1] == 1:
-                    singles.add(t)
+            for i in touched:
+                if count[key[i] >> 1] == 1:
+                    singles.add(i)
                 else:
-                    singles.discard(t)
-        for p in at:
-            # the pairs (t, u) and (u, v) around the inserted u
-            t, u, v = merged[p - 1], merged[p], merged[p + 1 - r]
+                    singles.discard(i)
+        for u in unlinked:
+            # the pairs (t, u) and (u, v) around the re-linked u
+            t, v = pred[u], succ[u]
             k = key[u]
             if key[t] == k:
                 lefts.add(t)
@@ -405,46 +367,76 @@ def _unfold(
             else:
                 lefts.discard(u)
                 rights.discard(v)
-        ts = merged
-        if r == 1:
+        size += len(unlinked)
+        if size == 1:
             # The lone element is singleton and side point at once.
             runs = fresh = runs | fresh
         points = lefts if side is Side.LEFT else rights
         if singles != fresh or points != runs:
+            ring, i = bytearray(len(us)), unlinked[0]
+            while not ring[i]:  # mark the stage's ranks around the ring
+                ring[i], i = 1, succ[i]
+            what = "un-peel" if attach is None else "patch"
             raise InternalInvariantError(
                 f"{what} at layer {step} built a stage with singletons "
-                f"{sorted(singles)} and side points {sorted(points)} instead of "
-                f"{sorted(fresh)} / {sorted(runs)}: {_materialize(ts, key)}"
+                f"{_elements(us, singles)} and side points {_elements(us, points)} instead of "
+                f"{_elements(us, fresh)} / {_elements(us, runs)}: "
+                f"{_clip(str(_materialize(us, key, ring)))}"
             )
-        yield ts
-    if tuple(ts) != ground:
-        raise GroundMismatchError("trace layers do not rebuild the original ground")
-
-
-def _fold(
-    ts: Sequence[int],
-    key: dict[int, int],
-    labels: int,
-    layers: Sequence[tuple],
-    attach: Side,
-    ground: tuple[int, ...],
-    unchanged: SignedPartition,
-) -> SignedPartition:
-    """Patch ``layers`` into the stage and build only the result; with no
-    layers the stage is returned as ``unchanged``, its partition."""
-    for ts in _unfold(ts, key, labels, layers, attach, ground):
-        pass
-    return _materialize(ts, key) if layers else unchanged
+        yield unlinked
 
 
 def _unfold_trace(
     trace: PeelTrace, attach: Side | None
-) -> tuple[dict[int, int], Iterator[list[int]]]:
-    """:func:`_unfold` from the core of ``trace``: the keys and the stages."""
+) -> tuple[tuple[int, ...], list[int], list[int], Iterator[list[int]]]:
+    """:func:`_unfold` from the core of ``trace``: the universe, the keys,
+    the core's ranks and the stages.
+
+    Each element is unlinked from the full ring once, at the last layer in
+    peel order that holds it, and a core element never.  Each layer is
+    checked when the kernel reaches it, so a bad trace fails where a
+    stage-by-stage patch would.
+    """
     core = trace.core
-    key = _key(core)
-    layers = _plain(trace.layers)
-    return key, _unfold(core.ground, key, len(core.blocks), layers, attach, trace.original_ground)
+    stage = set(core.ground)  # as each layer in patch order finds it
+    order = []  # per layer in patch order: it, whether it meets the stage, its new elements
+    for x in reversed(trace.layers):
+        elements = x.singletons | x.side_points
+        order.append((x, not stage.isdisjoint(elements), elements - stage))
+        stage |= elements
+    us = tuple(sorted(stage))
+    rank = dict(zip(us, range(len(us)))).__getitem__
+    key = _key(core.blocks, us)
+    succ, pred = _ring(len(us))
+    unlinked = [list(map(rank, new)) for _, _, new in order]
+    for ranks in reversed(unlinked):
+        for i in ranks:
+            p, q = pred[i], succ[i]
+            succ[p], pred[q] = q, p
+
+    def checked() -> Iterator[tuple]:
+        for (x, clash, _), ranks in zip(order, unlinked):
+            if attach is x.side:
+                raise MalformedLayerError("attach side must be opposite the peel side")
+            _check(x.singletons, x.side_points, clash)
+            yield x.step, set(map(rank, x.singletons)), set(map(rank, x.side_points)), x.side, ranks
+        if us != trace.original_ground:
+            raise GroundMismatchError("trace layers do not rebuild the original ground")
+
+    core_ranks = list(map(rank, core.ground))
+    stages = _unfold(us, key, succ, pred, core_ranks, len(core.blocks), checked(), attach)
+    return us, key, core_ranks, stages
+
+
+def _built(us: Sequence[int], key: list[int], core: list[int], stages: Iterator) -> Iterator:
+    """Each stage of :func:`_unfold_trace` as a partition."""
+    present = bytearray(len(us))
+    for i in core:
+        present[i] = 1
+    for unlinked in stages:
+        for i in unlinked:
+            present[i] = 1
+        yield _materialize(us, key, present)
 
 
 def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
@@ -456,8 +448,7 @@ def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
     singleton set and the layer's singletons as its side points on the attach
     side; a violation raises :class:`InternalInvariantError`.
     """
-    key, stages = _unfold_trace(trace, attach)
-    return (trace.core, *(_materialize(stage, key) for stage in stages))
+    return (trace.core, *_built(*_unfold_trace(trace, attach)))
 
 
 def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
@@ -466,10 +457,10 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     Only the result is built as a :class:`SignedPartition`; the stages below
     it are checked the same way but never materialised.
     """
-    core = trace.core
-    layers = _plain(trace.layers)
-    ground = trace.original_ground
-    return _fold(core.ground, _key(core), len(core.blocks), layers, attach, ground, core)
+    us, key, _, stages = _unfold_trace(trace, attach)
+    for _ in stages:
+        pass
+    return _materialize(us, key) if trace.layers else trace.core
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -481,17 +472,22 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     back as singleton blocks.  Index j of the result is the remainder after
     layer j; index 0 is the partition the trace was peeled from.
     """
-    key, stages = _unfold_trace(trace, None)
-    return tuple(reversed([trace.core, *(_materialize(stage, key) for stage in stages)]))
+    return tuple(reversed([trace.core, *_built(*_unfold_trace(trace, None))]))
 
 
 def _swap(part: SignedPartition, side: Side) -> SignedPartition:
     """Peel ``part`` on ``side`` and patch it back on the other side, handing
-    the peeled sets and keys straight to the patch."""
-    key = _key(part)
-    layers = list(_layers(part, key, side))
-    core = [t for t in part.ground if t in key]
-    return _fold(core, key, len(part.blocks), layers, side.opposite, part.ground, part)
+    the peeled layers, keys and ring straight to the patch."""
+    ts = part.ground
+    r = len(ts)
+    key, (succ, pred) = _key(part.blocks, ts), _ring(r)
+    layers = list(_layers(part, key, succ, pred, side))
+    if not layers:
+        return part
+    core = [i for i in range(r) if key[i] >= 0]
+    for _ in _unfold(ts, key, succ, pred, core, len(part.blocks), reversed(layers), side.opposite):
+        pass
+    return _materialize(ts, key)
 
 
 def psi(part: SignedPartition) -> SignedPartition:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -505,6 +506,13 @@ def _random_ground(rng, size):
     return sorted(rng.sample(range(1, 2 * size + 1), size))
 
 
+def _mirrored_partition(rng, ground):
+    """Each element paired with its mirror on ``ground``, signed at random."""
+    half = len(ground) // 2
+    blocks = [[ground[i], rng.choice((1, -1)) * ground[-1 - i]] for i in range(half)]
+    return make_partition(blocks + [[ground[half]]] * (len(ground) % 2))
+
+
 def _corrupt(rng, trace):
     """``trace`` with one or two random corruptions (or none, now and then)."""
     layers = [[set(x.singletons), set(x.side_points), x.side] for x in trace.layers]
@@ -590,11 +598,11 @@ def _fuzz_case(rng, case):
     return "patch", lambda: str(patch(trace, attach))
 
 
-def fuzz_outcomes(seed, cases):
+def fuzz_outcomes(seed, cases, make_case=_fuzz_case):
     rng = random.Random(seed)
     outcomes = []
     for case in range(cases):
-        name, thunk = _fuzz_case(rng, case)
+        name, thunk = make_case(rng, case)
         try:
             outcomes.append(f"{name} ok {thunk()}")
         except (PartitionError, InternalInvariantError) as exc:
@@ -632,11 +640,161 @@ FUZZ_COUNTS = {
 FUZZ_DIGEST = "4b0a52b6f018dfc0f79a61e7d8e6fdeca5c72f8eb83d96e68cee7860b2a365e1"
 
 
+def _outcome_counts(outcomes):
+    return Counter(" ".join(line.split(" ", 2)[:2]).rstrip(":") for line in outcomes)
+
+
 def test_corrupted_layers_and_traces_keep_their_errors():
     outcomes = fuzz_outcomes(7, 20_000)
-    counts = Counter(" ".join(line.split(" ", 2)[:2]).rstrip(":") for line in outcomes)
-    assert counts == FUZZ_COUNTS
+    assert _outcome_counts(outcomes) == FUZZ_COUNTS
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == FUZZ_DIGEST
+
+
+def _large_fuzz_case(rng, case):
+    """One (name, thunk) pair of a seeded corrupted trace on 10 to 20 elements.
+
+    Half the partitions are random, so a layer has several runs and some
+    cross the seam; the other half pair each element with its mirror on the
+    ground, with random signs, so they peel into many layers.
+    """
+    ground = _random_ground(rng, rng.randrange(10, 21))
+    if rng.random() < 0.5:
+        part = _random_partition(rng, ground)
+    else:
+        part = _mirrored_partition(rng, ground)
+    side = rng.choice(list(Side))
+    trace = _corrupt(rng, peel(part, side))
+    attach = side.opposite if rng.random() < 0.9 else side
+    kind = case % 4
+    if kind == 0 and trace.layers:
+        # the layer nearest the core, patched into the (possibly corrupted) core
+        layer = trace.layers[-1]
+        target = set(trace.core.ground) | layer.singletons | layer.side_points
+        if rng.random() < 0.15:
+            target ^= {rng.choice(ground)}
+        return "patch_step", lambda: str(patch_step(trace.core, layer, attach, target))
+    if kind == 1:
+        return "patch_stages", lambda: " | ".join(map(str, patch_stages(trace, attach)))
+    if kind == 2:
+        return "trace_stages", lambda: " | ".join(map(str, trace_stages(trace)))
+    return "patch", lambda: str(patch(trace, attach))
+
+
+# Recorded from the kernel that merged each layer into the stage's ground and
+# found run anchors by bisection, before the position-indexed kernel: the
+# outcomes of the 4,000 cases of seed 11.
+LARGE_FUZZ_COUNTS = {
+    "patch AnchorMissingError": 8,
+    "patch GroundMismatchError": 129,
+    "patch InternalInvariantError": 152,
+    "patch MalformedLayerError": 199,
+    "patch ok": 593,
+    "patch_stages AnchorMissingError": 16,
+    "patch_stages GroundMismatchError": 165,
+    "patch_stages InternalInvariantError": 118,
+    "patch_stages MalformedLayerError": 207,
+    "patch_stages ok": 494,
+    "patch_step AnchorMissingError": 6,
+    "patch_step GroundMismatchError": 169,
+    "patch_step InternalInvariantError": 67,
+    "patch_step MalformedLayerError": 168,
+    "patch_step ok": 509,
+    "trace_stages AnchorMissingError": 21,
+    "trace_stages GroundMismatchError": 176,
+    "trace_stages InternalInvariantError": 201,
+    "trace_stages MalformedLayerError": 51,
+    "trace_stages ok": 551,
+}
+LARGE_FUZZ_DIGEST = "214acf811a8605c0627407f85413d14f8f1228fa255fe2085f680f44cb2d8e5d"
+
+
+def test_corrupted_traces_on_larger_grounds_keep_their_errors():
+    outcomes = fuzz_outcomes(11, 4_000, _large_fuzz_case)
+    assert _outcome_counts(outcomes) == LARGE_FUZZ_COUNTS
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == LARGE_FUZZ_DIGEST
+
+
+def test_sparse_ground_stays_cheap():
+    # Every table of the kernel is indexed by rank, never by element value,
+    # so a ground near 10**18 costs what a ground near 1 costs.
+    big = 10**18
+    rng = random.Random(3)
+    grounds = [
+        [big + 3 * i for i in range(13)],
+        [1, 2, 5, 9, big - 1, big, big + 1, 2 * big, 3 * big + 7, 5 * big, 8 * big, 9 * big],
+    ]
+    tracemalloc.start()
+    try:
+        for ground in grounds:
+            for part in (_random_partition(rng, ground), _mirrored_partition(rng, ground)):
+                # peel, peel_step, patch_step, patch_stages and trace_stages on both sides
+                check_results_are_canonical(part)
+                image = patch(peel(part, Side.LEFT), Side.RIGHT)
+                assert image == make_partition(image.blocks)
+                assert patch(peel(image, Side.RIGHT), Side.LEFT) == part
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _shallow_partition(rng, n, density):
+    """A random partition of {1..n}: each element continues its predecessor's
+    signed block with chance ``density``, so makes an adjacency, and
+    otherwise starts a block or joins a random one."""
+    blocks, where = [], {}
+    for i in range(1, n + 1):
+        u = rng.random()
+        if i > 1 and u < density:
+            b, sign = where[i - 1]
+        elif not blocks or u < density + (1 - density) * 0.3:
+            blocks.append([])
+            b, sign = len(blocks) - 1, 1
+        else:
+            b, sign = rng.randrange(len(blocks)), rng.choice((1, -1))
+        blocks[b].append(sign * i)
+        where[i] = (b, sign)
+    return make_partition(blocks)
+
+
+def test_error_messages_on_large_inputs_are_bounded():
+    # One element moved between the two sets of a layer of a 994-element
+    # trace: the messages name the layer, but elide the middle of each set,
+    # run and partition they print.
+    part = _shallow_partition(random.Random(3), 994, 0.3)
+    messages = set()
+    for side in Side:
+        trace = peel(part, side)
+        for j, x in enumerate(trace.layers):
+            for moving, other in ((x.singletons, x.side_points), (x.side_points, x.singletons)):
+                if not moving:
+                    continue
+                t = sorted(moving)[len(moving) // 2]
+                sets = (moving - {t}, other | {t})
+                if moving is x.side_points:
+                    sets = sets[::-1]
+                layers = list(trace.layers)
+                layers[j] = PeelLayer(x.step, *sets, x.side)
+                bad = PeelTrace(tuple(layers), trace.core, trace.original_ground)
+                for run in (
+                    lambda: patch(bad, side.opposite),
+                    lambda: patch_stages(bad, side.opposite),
+                    lambda: trace_stages(bad),
+                ):
+                    try:
+                        run()
+                    except (PartitionError, InternalInvariantError) as exc:
+                        messages.add((type(exc).__name__, str(exc)))
+    # a run of 998 elements anchored at a returning element
+    layer = PeelLayer(1, frozenset(range(1, 999)), frozenset({1000}), Side.LEFT)
+    with pytest.raises(AnchorMissingError) as info:
+        patch_step(make_partition([[999]]), layer, Side.RIGHT, range(1, 1001))
+    messages.add(("AnchorMissingError", str(info.value)))
+    assert {name for name, _ in messages} >= {"InternalInvariantError", "AnchorMissingError"}
+    for name, message in messages:
+        assert len(message) < 600, message
+        if name == "InternalInvariantError":
+            assert " ... " in message and "at layer" in message
 
 
 def _deep_family(n):

@@ -41,14 +41,25 @@ un-peel step re-links it in reverse order, which restores the ring the peel
 removed it from, and gives each run along the ring its anchor's key.  So
 peeling and patching n elements costs O(n + Σ|layer|) steps, with no merge,
 sort or search per layer, and ``psi`` builds one partition per call.
+
+On {1..n}, all that ``psi`` and ``psi_inverse`` accept, an element's rank is
+itself less one, so the keys are filled straight from the blocks; a sparse
+ground looks its ranks up in a dict.  A ``psi`` call makes four passes over
+the ground in Python: it fills the keys, scans for the first layer's side
+points, scans the keys once more to find the core and set the baseline of
+the patch's per-stage check, and builds the result.  The ring and a shifted
+copy of the keys are list copies.  The peel keeps a count per label and
+scans a block only when its count falls to 1, to find its last member; the
+patch starts from the peel's final counts.  Everything else costs the
+peeled elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from itertools import compress
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     InternalInvariantError,
@@ -119,76 +130,118 @@ def _elements(us: Sequence[int], ranks: Iterable[int]) -> str:
     return _clip(str([us[i] for i in sorted(ranks)]))
 
 
-def _key(blocks: Iterable[Sequence[int]], us: Iterable[int]) -> list[int]:
-    """The key of each element of ``us`` in the partition ``blocks``, or -1."""
-    where = {abs(m): 2 * label + (m > 0) for label, block in enumerate(blocks) for m in block}
-    return list(map(where.get, us, repeat(-1)))
+_PRECEDING = (-1).__add__  # the rank of an element of {1..n}
+
+
+def _rank(us: Sequence[int]) -> Callable[[int], int]:
+    """The rank of an element of the sorted ground ``us``: on {1..n} it is the
+    element less one, and a sparse ground looks it up."""
+    if not us or (us[0] == 1 and us[-1] == len(us)):
+        return _PRECEDING
+    return dict(zip(us, range(len(us)))).__getitem__
+
+
+def _key(blocks: Iterable[Sequence[int]], us: Sequence[int], rank: Callable) -> list[int]:
+    """The key of each element of ``us`` in the partition ``blocks``, or -1;
+    ``rank`` is :func:`_rank` of ``us``."""
+    key = [-1] * len(us)
+    if rank is not _PRECEDING:
+        for label, block in enumerate(blocks):
+            for m in block:
+                key[rank(abs(m))] = 2 * label + (m > 0)
+        return key
+    for label, block in enumerate(blocks):
+        k = 2 * label
+        for m in block:
+            if m > 0:
+                key[m - 1] = k + 1
+            else:
+                key[~m] = k  # ~m == -m - 1
+    return key
 
 
 def _ring(r: int) -> tuple[list[int], list[int]]:
     """Successor and predecessor lists of the ring over all ranks 0..r-1."""
-    return [*range(1, r), 0], [r - 1, *range(r - 1)]
+    succ = [*range(1, r), 0]
+    return succ, succ[-2:] + succ[:-2]  # pred[i] = succ[i - 2], sharing succ's ints
 
 
 def _materialize(
-    us: Sequence[int], key: list[int], keep: Iterable | None = None
+    us: Sequence[int], key: list[int], labels: int, keep: Iterable | None = None
 ) -> SignedPartition:
     """The canonical partition of the stage on the ranks ``keep`` selects, or
-    on all: the scan lists blocks and members in canonical order, so what is
-    left is to negate a block whose first member is negative."""
+    on all; ``labels`` bounds its labels.  The scan lists blocks and members
+    in canonical order, so what is left is to negate a block whose first
+    member is negative."""
     if keep is not None:
         us, key = list(compress(us, keep)), list(compress(key, keep))
-    blocks: dict[int, list[int]] = {}
+    by_label: list[list[int] | None] = [None] * labels
+    blocks = []
     for t, k in zip(us, key):
-        blocks.setdefault(k >> 1, []).append(t if k & 1 else -t)
+        block = by_label[k >> 1]
+        if block is None:
+            block = by_label[k >> 1] = []
+            blocks.append(block)
+        block.append(t if k & 1 else -t)
     return SignedPartition(
-        tuple(us),
-        tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks.values()]),
+        tuple(us), tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks])
     )
 
 
 def _layers(
-    part: SignedPartition, key: list[int], succ: list[int], pred: list[int], side: Side
+    part: SignedPartition, key: list[int], succ: list[int], pred: list[int], count: list[int],
+    side: Side, rank: Callable,
 ) -> Iterator[tuple]:
     """The peel layers of ``part`` in the kernel's form ``(step, singletons,
     side_points, side, unlinked)``: two sets of ranks, and the ranks in the
     order they were unlinked.  ``key``, ``succ`` and ``pred`` hold ``part``
-    on the full ring of its ground's ranks.  A layer is unlinked, its keys
-    set to -1, before it is yielded, so an exhausted generator leaves the
-    core.  Only the first layer is a full scan: the next one holds only the
-    last alive member of a label, a singleton, and the neighbour whose link
-    now skips a removed run, which may be a side point.
+    on the full ring of its ground's ranks, ``count`` the size of each block
+    and ``rank`` is :func:`_rank` of the ground.  A layer is unlinked, its
+    keys set to -1 and its labels' counts lowered before it is yielded, so an
+    exhausted generator leaves the core and its counts.  Only the first
+    layer is a full scan: the next one holds only the last alive member of a
+    label whose count fell to 1, found by one scan of its block, and the
+    neighbour whose link now skips a removed run, which may be a side point.
     """
-    ts = part.ground
+    ts, blocks = part.ground, part.blocks
     r = len(ts)
-    members: list[set[int]] = [set() for _ in part.blocks]
-    for i, k in enumerate(key):
-        members[k >> 1].add(i)
     link, seam = (succ, pred) if side is Side.LEFT else (pred, succ)
-    singles = {next(iter(m)) for m in members if len(m) == 1}
-    points = {i for i in range(r) if key[i] == key[link[i]]}
+    linked = key[1:] + key[:1] if side is Side.LEFT else key[-1:] + key[:-1]  # key[link[i]]
+    points = {i for i in range(r) if key[i] == linked[i]}
+    singles = {rank(abs(b[0])) for b in blocks if len(b) == 1}
     alive, step = r, 0
     while singles or points:
         if alive == 1:
             points = set()  # the lone element is recorded as a singleton only
         elif not points.isdisjoint(singles):
-            stage = _clip(str(_materialize(ts, key, [k >= 0 for k in key])))
+            stage = _clip(str(_materialize(ts, key, len(count), [k >= 0 for k in key])))
             raise InternalInvariantError(f"singletons and side points overlap in {stage}")
         step += 1
         unlinked = [*singles, *points]
-        seams = list(map(seam.__getitem__, unlinked))
-        labels = []
+        seams, lone = [], []
         for u in unlinked:
-            p, q = pred[u], succ[u]
-            succ[p], pred[q] = q, p
+            p, q = seam[u], link[u]
+            link[p], seam[q] = q, p
+            seams.append(p)  # its link now skips u
             label = key[u] >> 1
             key[u] = -1
-            members[label].discard(u)
-            labels.append(label)
+            count[label] -= 1
+            if count[label] == 1:
+                lone.append(label)
         alive -= len(unlinked)
         yield step, singles, points, side, unlinked
-        singles = {i for label in labels if len(members[label]) == 1 for i in members[label]}
-        points = {i for i in seams if -1 < key[i] == key[link[i]]}  # -1: a removed rank
+        singles = set()
+        for label in lone:
+            if count[label] == 1:  # not emptied later in the layer
+                for m in blocks[label]:
+                    i = rank(abs(m))
+                    if key[i] >= 0:
+                        singles.add(i)
+                        break
+        points = set()
+        for i in seams:
+            if -1 < key[i] == key[link[i]]:  # -1: a removed rank
+                points.add(i)
 
 
 def _peel_layer(ts: Sequence[int], step: int, layer: tuple) -> PeelLayer:
@@ -205,12 +258,14 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     Removal always acts on +x and -x together, so the remainder is again a
     valid symmetric partition without zero-block.
     """
-    key = _key(part.blocks, part.ground)
-    layer = next(_layers(part, key, *_ring(len(key)), side), None)
+    ts = part.ground
+    rank = _rank(ts)
+    key = _key(part.blocks, ts, rank)
+    layer = next(_layers(part, key, *_ring(len(ts)), [*map(len, part.blocks)], side, rank), None)
     if layer is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
-    rest = _materialize(part.ground, key, [k >= 0 for k in key])
-    return _peel_layer(part.ground, step, layer), rest
+    rest = _materialize(ts, key, len(part.blocks), [k >= 0 for k in key])
+    return _peel_layer(ts, step, layer), rest
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -220,9 +275,13 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     ground set, so at most r steps occur; the core may be empty.
     """
     ts = part.ground
-    key = _key(part.blocks, ts)
-    layers = tuple(_peel_layer(ts, x[0], x) for x in _layers(part, key, *_ring(len(ts)), side))
-    core = _materialize(ts, key, [k >= 0 for k in key]) if layers else part
+    rank = _rank(ts)
+    key = _key(part.blocks, ts, rank)
+    count = [*map(len, part.blocks)]
+    layers = tuple(
+        _peel_layer(ts, x[0], x) for x in _layers(part, key, *_ring(len(ts)), count, side, rank)
+    )
+    core = _materialize(ts, key, len(count), [k >= 0 for k in key]) if layers else part
     return PeelTrace(layers, core, ts)
 
 
@@ -282,11 +341,11 @@ def _anchor_missing(
 
 
 def _unfold(
-    us: Sequence[int], key: list[int], succ: list[int], pred: list[int], core: list[int],
-    labels: int, layers: Iterable[tuple], attach: Side | None,
+    us: Sequence[int], key: list[int], succ: list[int], pred: list[int], count: list[int],
+    layers: Iterable[tuple], attach: Side | None,
 ) -> Iterator[list[int]]:
-    """Re-link ``layers`` into the stage on the increasing ranks ``core`` and
-    yield the ranks each one re-links; ``labels`` bounds the core's labels.
+    """Re-link ``layers`` into the stage on the ranks with a key, whose labels
+    have the sizes ``count``, and yield the ranks each one re-links.
 
     With ``attach`` given, each layer is patched in on that side with the two
     roles interchanged; with None it is un-peeled with its original roles.
@@ -297,25 +356,32 @@ def _unfold(
 
     Every stage must carry the layer's returning elements as its singleton
     set and the anchored ones as its side points on the attach side, or
-    :class:`InternalInvariantError` is raised.  Those whole sets are compared
-    but updated only at the layer, at the anchors, whose labels grow, and at
-    the pairs of neighbours around a re-linked rank.  That is enough: an
-    untouched element keeps its neighbours, and its label grows only when it
-    shares an anchor's label, so it was no singleton before or after.  So its
-    status cannot change, and the comparison is the one a fresh scan would make.
+    :class:`InternalInvariantError` is raised.  The singletons and the side
+    points are kept as whole sets, set by a scan of the first stage; the
+    points are those of the last layer's side, and move to the other end of
+    their pairs when a layer's side differs.  The sets are compared after
+    every step but updated only at the layer, at the anchors, whose labels
+    grow, and at the pairs of neighbours around a re-linked rank.  That is
+    enough: an untouched element keeps its neighbours, and its label grows
+    only when it shares an anchor's label, so it was no singleton before or
+    after.  So its status cannot change, and the comparison is the one a
+    fresh scan would make.
     """
-    count = [0] * labels
-    lefts, rights = set(), set()
-    for i in core:
-        count[key[i] >> 1] += 1
-        if key[i] == key[succ[i]]:
-            lefts.add(i)
-            rights.add(succ[i])
-    singles = {i for i in core if count[key[i] >> 1] == 1} if 1 in count else set()
-    size = len(core)
+    left = current = Side.LEFT
+    points = {i for i, k in enumerate(key) if k >= 0 and k == key[succ[i]]}  # left points
+    singles = set()
+    if 1 in count:
+        singles = {i for i, k in enumerate(key) if k >= 0 and count[k >> 1] == 1}
+    size = len(key) - key.count(-1)
     for step, singletons, side_points, side, unlinked in layers:
-        runs, fresh = (side_points, singletons) if attach is None else (singletons, side_points)
-        side = side if attach is None else attach
+        if attach is None:
+            runs, fresh = side_points, singletons
+        else:
+            runs, fresh, side = singletons, side_points, attach
+        # a point i pairs with behind[i]; a run is walked ahead from its anchor
+        ahead, behind = (pred, succ) if side is left else (succ, pred)
+        if side is not current:
+            points, current = set(map(ahead.__getitem__, points)), side
         for i in reversed(unlinked):
             succ[pred[i]] = pred[succ[i]] = i
         anchors = []
@@ -328,7 +394,6 @@ def _unfold(
                 key[i] = 2 * len(count) + 1
             count.append(len(runs))
         elif runs:
-            ahead, behind = (succ, pred) if side is Side.RIGHT else (pred, succ)
             for i in runs:
                 anchor = behind[i]
                 if anchor in runs:
@@ -345,33 +410,31 @@ def _unfold(
         for i in fresh:
             key[i] = 2 * len(count) + 1
             count.append(1)
-        for touched in (runs, fresh, anchors):
-            for i in touched:
-                if count[key[i] >> 1] == 1:
-                    singles.add(i)
-                else:
-                    singles.discard(i)
-        for u in unlinked:
-            # the pairs (t, u) and (u, v) around the re-linked u
-            t, v = pred[u], succ[u]
+        for i in anchors:
+            if count[key[i] >> 1] == 1:
+                singles.add(i)
+            else:
+                singles.discard(i)
+        for u in unlinked:  # the layer's runs and fresh elements
             k = key[u]
+            if count[k >> 1] == 1:
+                singles.add(u)
+            else:
+                singles.discard(u)
+            # the pairs (t, u) and (u, behind[u]) around the re-linked u
+            t = ahead[u]
             if key[t] == k:
-                lefts.add(t)
-                rights.add(u)
+                points.add(t)
             else:
-                lefts.discard(t)
-                rights.discard(u)
-            if k == key[v]:
-                lefts.add(u)
-                rights.add(v)
+                points.discard(t)
+            if k == key[behind[u]]:
+                points.add(u)
             else:
-                lefts.discard(u)
-                rights.discard(v)
+                points.discard(u)
         size += len(unlinked)
         if size == 1:
             # The lone element is singleton and side point at once.
             runs = fresh = runs | fresh
-        points = lefts if side is Side.LEFT else rights
         if singles != fresh or points != runs:
             ring, i = bytearray(len(us)), unlinked[0]
             while not ring[i]:  # mark the stage's ranks around the ring
@@ -381,7 +444,7 @@ def _unfold(
                 f"{what} at layer {step} built a stage with singletons "
                 f"{_elements(us, singles)} and side points {_elements(us, points)} instead of "
                 f"{_elements(us, fresh)} / {_elements(us, runs)}: "
-                f"{_clip(str(_materialize(us, key, ring)))}"
+                f"{_clip(str(_materialize(us, key, len(count), ring)))}"
             )
         yield unlinked
 
@@ -390,7 +453,7 @@ def _unfold_trace(
     trace: PeelTrace, attach: Side | None
 ) -> tuple[tuple[int, ...], list[int], list[int], Iterator[list[int]]]:
     """:func:`_unfold` from the core of ``trace``: the universe, the keys,
-    the core's ranks and the stages.
+    the label counts and the stages.
 
     Each element is unlinked from the full ring once, at the last layer in
     peel order that holds it, and a core element never.  Each layer is
@@ -402,12 +465,12 @@ def _unfold_trace(
     order = []  # per layer in patch order: it, whether it meets the stage, its new elements
     for x in reversed(trace.layers):
         elements = x.singletons | x.side_points
-        order.append((x, not stage.isdisjoint(elements), elements - stage))
+        clash = not stage.isdisjoint(elements)
+        order.append((x, clash, elements - stage if clash else elements))
         stage |= elements
     us = tuple(sorted(stage))
-    rank = dict(zip(us, range(len(us)))).__getitem__
-    key = _key(core.blocks, us)
-    succ, pred = _ring(len(us))
+    rank = _rank(us)
+    key, (succ, pred) = _key(core.blocks, us, rank), _ring(len(us))
     unlinked = [list(map(rank, new)) for _, _, new in order]
     for ranks in reversed(unlinked):
         for i in ranks:
@@ -423,20 +486,17 @@ def _unfold_trace(
         if us != trace.original_ground:
             raise GroundMismatchError("trace layers do not rebuild the original ground")
 
-    core_ranks = list(map(rank, core.ground))
-    stages = _unfold(us, key, succ, pred, core_ranks, len(core.blocks), checked(), attach)
-    return us, key, core_ranks, stages
+    count = [*map(len, core.blocks)]
+    return us, key, count, _unfold(us, key, succ, pred, count, checked(), attach)
 
 
-def _built(us: Sequence[int], key: list[int], core: list[int], stages: Iterator) -> Iterator:
+def _built(us: Sequence[int], key: list[int], count: list[int], stages: Iterator) -> Iterator:
     """Each stage of :func:`_unfold_trace` as a partition."""
-    present = bytearray(len(us))
-    for i in core:
-        present[i] = 1
+    present = bytearray([k >= 0 for k in key])
     for unlinked in stages:
         for i in unlinked:
             present[i] = 1
-        yield _materialize(us, key, present)
+        yield _materialize(us, key, len(count), present)
 
 
 def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
@@ -457,10 +517,10 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     Only the result is built as a :class:`SignedPartition`; the stages below
     it are checked the same way but never materialised.
     """
-    us, key, _, stages = _unfold_trace(trace, attach)
+    us, key, count, stages = _unfold_trace(trace, attach)
     for _ in stages:
         pass
-    return _materialize(us, key) if trace.layers else trace.core
+    return _materialize(us, key, len(count)) if trace.layers else trace.core
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -477,17 +537,16 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
 
 def _swap(part: SignedPartition, side: Side) -> SignedPartition:
     """Peel ``part`` on ``side`` and patch it back on the other side, handing
-    the peeled layers, keys and ring straight to the patch."""
+    the peeled layers, keys, label counts and ring straight to the patch."""
     ts = part.ground
-    r = len(ts)
-    key, (succ, pred) = _key(part.blocks, ts), _ring(r)
-    layers = list(_layers(part, key, succ, pred, side))
+    rank = _rank(ts)
+    key, count, (succ, pred) = _key(part.blocks, ts, rank), [*map(len, part.blocks)], _ring(len(ts))
+    layers = list(_layers(part, key, succ, pred, count, side, rank))
     if not layers:
         return part
-    core = [i for i in range(r) if key[i] >= 0]
-    for _ in _unfold(ts, key, succ, pred, core, len(part.blocks), reversed(layers), side.opposite):
+    for _ in _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite):
         pass
-    return _materialize(ts, key)
+    return _materialize(ts, key, len(count))
 
 
 def psi(part: SignedPartition) -> SignedPartition:

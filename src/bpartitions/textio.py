@@ -53,9 +53,11 @@ def parse_partition(
     s = text.replace(_UNICODE_MINUS, "-")
     m = _LINE.match(s)
     if m and m.end() == len(s):
+        # whitespace only pads separators here; str.split() drops what \s
+        # matches, \x1c-\x1f included, which int() would not strip
+        compact = "".join(s.split())
         try:
-            # strip first: int() does not strip \x1c-\x1f, which \s accepts
-            blocks = [list(map(int, map(str.strip, b.split(",")))) for b in s.split("/")]
+            blocks = [list(map(int, b.split(","))) for b in compact.split("/")]
         except ValueError:  # more digits than int() accepts
             raise _first_problem(s, m) from None
         if any(0 in b for b in blocks):

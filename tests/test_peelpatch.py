@@ -714,6 +714,21 @@ def test_corrupted_traces_on_larger_grounds_keep_their_errors():
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == LARGE_FUZZ_DIGEST
 
 
+def test_a_layer_whose_sets_overlap_is_unlinked_once():
+    # Layer 1 of this right peel of 1 / 2 / 3,4 holds 1 both as a singleton
+    # and as a side point.  Layer 2 is patched first, on the ring with 1
+    # unlinked once, so it passes, and layer 1 is rejected when reached.
+    right = Side.RIGHT
+    layers = (
+        PeelLayer(1, frozenset({1, 2}), frozenset({1, 4}), right),
+        PeelLayer(2, frozenset({3}), frozenset(), right),
+    )
+    trace = PeelTrace(layers, make_partition([]), (1, 2, 3, 4))
+    for run in (lambda: patch_stages(trace, Side.LEFT), lambda: trace_stages(trace)):
+        with pytest.raises(MalformedLayerError, match="overlap"):
+            run()
+
+
 def test_sparse_ground_stays_cheap():
     # Every table of the kernel is indexed by rank, never by element value,
     # so a ground near 10**18 costs what a ground near 1 costs.
@@ -813,6 +828,35 @@ def _nested_family(rng, n):
     if n % 2:
         blocks.append([(n + 1) // 2])
     return make_partition(blocks)
+
+
+def _spread(part):
+    """``part`` moved to a sparse ground by the increasing map t -> 3t + 10**12."""
+    return make_partition(
+        [[(3 * abs(m) + 10**12) * (1 if m > 0 else -1) for m in b] for b in part.blocks]
+    )
+
+
+def test_trace_and_map_routes_agree_at_batch_sizes():
+    # psi and psi_inverse patch their own peel on the full ground, where an
+    # element's rank is itself less one; patch(peel(...)) patches a public
+    # trace on a universe it rebuilds from the core and the layers, and on a
+    # sparse ground looks each rank up.  The routes must build the same image
+    # at the sizes and adjacency densities of the map benchmark's batch, and
+    # on the deep family.
+    rng = random.Random(15)
+    sizes = [1, 2, 3, 8, 21, 55, 144, 377, 610, 1000]
+    parts = [_shallow_partition(rng, n, d) for n in sizes for d in (0.0, 0.1, 0.25, 0.4, 0.5)]
+    parts += [_deep_family(n) for n in (150, 169, 1000)]
+    for part in parts:
+        image, back = psi(part), psi_inverse(part)
+        sparse = _spread(part)
+        assert image == patch(peel(part, Side.LEFT), Side.RIGHT)
+        assert back == patch(peel(part, Side.RIGHT), Side.LEFT)
+        assert patch(peel(sparse, Side.LEFT), Side.RIGHT) == _spread(image)
+        assert patch(peel(sparse, Side.RIGHT), Side.LEFT) == _spread(back)
+        assert psi_inverse(image) == part
+        assert psi(back) == part
 
 
 def _mapped_text(part):

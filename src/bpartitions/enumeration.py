@@ -16,6 +16,18 @@ A block is kept as a tuple, extended by one element at each placement, so
 :func:`for_each` builds its :class:`SignedPartition` there with one
 ``tuple(blocks)``.  The leaf order is fixed, so a leaf's visit index names
 it; a parallel sweep splits V_n by that index.
+
+:func:`rank` computes that index from a partition's blocks alone, by the
+standard ranking of restricted growth strings (Nijenhuis and Wilf,
+Combinatorial Algorithms, 1978).  Let W(r, j) count the leaves below a walk
+node with j block pairs and r elements left to place: W(0, j) = 1 and
+W(r, j) = W(r-1, j+1) + 2j W(r-1, j), so W(n, 0) = |V_n|.  When element i
+joins pair k of the j already open, with sign +, the walk has passed the
+subtrees of "new block" and of both signs of pairs 0..k-1, W(n-i, j+1) +
+2k W(n-i, j) leaves; sign - passes one more subtree, W(n-i, j).  The rank
+sums these over the elements that join a pair.  Rank is a function of the
+partition and visit indices are distinct, so a walk whose every leaf has
+rank equal to its visit index visits no partition twice.
 """
 
 from __future__ import annotations
@@ -87,3 +99,35 @@ def for_each(n: int, visitor: Visitor) -> int:
         return visitor(SignedPartition(ground, tuple(blocks)))
 
     return walk(n, leaf)
+
+
+def leaf_counts(n: int) -> list[list[int]]:
+    """The table W of leaf counts: ``w[r][j]`` = W(r, j) for r + j <= n."""
+    w = [[1] * (n + 1)]
+    for r in range(1, n + 1):
+        prev = w[-1]
+        w.append([prev[j + 1] + 2 * j * prev[j] for j in range(n - r + 1)])
+    return w
+
+
+def rank(blocks: tuple[tuple[int, ...], ...], w: list[list[int]]) -> int:
+    """The visit index at which :func:`walk` reaches ``blocks``.
+
+    ``blocks`` are those of a canonical member of V_n, and ``w`` is
+    :func:`leaf_counts` of some N >= n.
+    """
+    n = sum(map(len, blocks))
+    # element -> 2k + (1 if its sign is -) when it joins pair k; None when it opens one
+    step: list[int | None] = [None] * (n + 1)
+    for k, b in enumerate(blocks):
+        for t in b[1:]:
+            step[abs(t)] = 2 * k + (t < 0)
+    index = j = 0
+    for i in range(1, n + 1):
+        row = w[n - i]
+        p = step[i]
+        if p is None:
+            j += 1
+        else:
+            index += row[j + 1] + p * row[j]
+    return index

@@ -7,7 +7,10 @@ their statistic swaps, the per-stage swap, and the double application of the
 complement-conjugated map.  Aggregate counts are then reconciled against the
 closed formulas, the closed-form joint table and the generating function.  An
 exception is charged to the property whose check raised it, and the witness
-names the failing call.
+names the failing call.  ``no-duplicates`` holds when every partition's rank
+in the walk's order equals its visit index, so a worker keeps no
+per-partition state: its table, histogram and leaf-count table take O(n^2)
+space whatever |V_n| is.
 
 A sweep can be split across W processes by visit index: every worker walks
 all of V_n, which costs well under a microsecond a leaf, and inspects only the
@@ -31,7 +34,7 @@ from .counting import (
     stirling_row,
     total_count,
 )
-from .enumeration import for_each
+from .enumeration import for_each, leaf_counts, rank
 from .peelpatch import Side, patch_stages, peel, psi, psi_inverse, trace_stages
 from .textio import parse_partition
 
@@ -44,10 +47,6 @@ PER_PARTITION_PROPERTIES = (
     "involution",
     "per-stage-swap",
 )
-
-# Memory guard: duplicate detection keeps every canonical string, so it stops
-# at this level while the other checks, the text round trip included, go on.
-TEXT_SWEEP_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class _Accumulator:
         self.hist = [0] * (n + 1)
         self.index = 0  # visit index of the partition under inspection
         self.witnesses: dict[str, tuple[int, str]] = {}
-        self.texts: set[str] | None = set() if n <= TEXT_SWEEP_LIMIT else None
+        self.leaf_counts = leaf_counts(n)
 
     def fail(self, prop: str, text: str, detail: str = "") -> None:
         if prop not in self.witnesses:
@@ -110,8 +109,10 @@ def _inspect(part, acc: _Accumulator) -> None:
     st = statistics(part)
     acc.table[st.singletons][st.adjacencies] += 1
     acc.hist[len(part.blocks)] += 1
-    if acc.texts is not None:
-        acc.texts.add(text)
+
+    with _Charge(acc, "no-duplicates", text):
+        r = _call("rank", rank, part.blocks, acc.leaf_counts)
+        _expect(r == acc.index, f"rank {r} at visit {acc.index}")
 
     with _Charge(acc, "validity", text):
         _call("validate", validate, part)
@@ -178,7 +179,7 @@ def _sweep_stripe(args: tuple[int, int, int]) -> tuple:
             _inspect(part, acc)
 
     visits = for_each(n, visit)
-    return visits, acc.table, acc.hist, acc.witnesses, acc.texts
+    return visits, acc.table, acc.hist, acc.witnesses
 
 
 @dataclass
@@ -187,7 +188,6 @@ class SweepResult:
     table: list[list[int]]
     hist: list[int]
     witnesses: dict[str, str]
-    distinct_texts: int | None
 
 
 def sweep(n: int, jobs: int = 1) -> SweepResult:
@@ -217,8 +217,7 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
     table = [[0] * (n + 1) for _ in range(n + 1)]
     hist = [0] * (n + 1)
     found: dict[str, tuple[int, str]] = {}
-    seen: set[str] = set()
-    for _, part_table, part_hist, part_witnesses, part_texts in results:
+    for _, part_table, part_hist, part_witnesses in results:
         for s in range(n + 1):
             for a in range(n + 1):
                 table[s][a] += part_table[s][a]
@@ -226,11 +225,8 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
             hist[j] += part_hist[j]
         for prop, witness in part_witnesses.items():
             found[prop] = min(found.get(prop, witness), witness)
-        seen.update(part_texts or ())
     witnesses = {prop: text for prop, (_, text) in found.items()}
-    # The union has one text per visit exactly when no partition came twice.
-    distinct = len(seen) if n <= TEXT_SWEEP_LIMIT else None
-    return SweepResult(visits, table, hist, witnesses, distinct)
+    return SweepResult(visits, table, hist, witnesses)
 
 
 def iter_suite(max_n: int, jobs: int = 1) -> Iterator[Report]:
@@ -252,14 +248,12 @@ def iter_suite(max_n: int, jobs: int = 1) -> Iterator[Report]:
             ok,
             "" if ok else f"visited {res.visits}, tabulated {table_total}, expected {expected}",
         )
-        if res.distinct_texts is not None:
-            ok = res.distinct_texts == res.visits
-            yield Report(
-                n,
-                "no-duplicates",
-                ok,
-                "" if ok else f"{res.distinct_texts} distinct of {res.visits} visits",
-            )
+        yield Report(
+            n,
+            "no-duplicates",
+            "no-duplicates" not in res.witnesses,
+            res.witnesses.get("no-duplicates", ""),
+        )
         row = stirling_row(n)
         bad = [j for j in range(n + 1) if res.hist[j] != 2 ** (n - j) * row[j]]
         yield Report(

@@ -6,8 +6,8 @@ import hashlib
 
 import pytest
 
-from bpartitions import for_each, statistics, total_count, validate
-from bpartitions.enumeration import walk
+from bpartitions import counting, for_each, statistics, total_count, validate
+from bpartitions.enumeration import leaf_counts, rank, walk
 
 
 def brute_stirling(k: int, j: int) -> int:
@@ -120,3 +120,21 @@ def test_per_block_pair_counts():
     for_each(n, visit)
     for j in range(n + 1):
         assert hist[j] == 2 ** (n - j) * brute_stirling(n, j)
+
+
+def test_rank_is_the_visit_index():
+    # one table serves every n below its own
+    w = leaf_counts(7)
+    for n in range(8):
+        ranks = []
+        for_each(n, lambda p: ranks.append(rank(p.blocks, w)))
+        assert ranks == list(range(total_count(n)))
+
+
+def test_leaf_counts_give_total_count():
+    # W(n, 0) = |V_n|, a count that shares no code with stirling_row;
+    # total_count(n) for every n <= 300, from one pass over the Stirling rows
+    w = leaf_counts(300)
+    totals = [counting._total(row) for row in counting._stirling_rows(300)]
+    assert [w[n][0] for n in range(301)] == totals
+    assert w[300][0] == total_count(300)

@@ -37,26 +37,33 @@ def test_suite_passes_cleanly():
     } <= names
 
 
-def test_sweep_counts_and_table():
+def test_sweep_counts_and_table(monkeypatch):
+    ranks = []
+    real_rank = verification.rank
+
+    def recorded(blocks, w):
+        ranks.append(real_rank(blocks, w))
+        return ranks[-1]
+
+    monkeypatch.setattr(verification, "rank", recorded)
     res = sweep(4)
     assert res.visits == 49
     assert sum(map(sum, res.table)) == 49
-    assert res.distinct_texts == 49
+    # the duplicate check ranked 49 distinct partitions
+    assert sorted(ranks) == list(range(49))
     assert not res.witnesses
 
 
 def test_parallel_sweep_matches_sequential():
     a, b = sweep(5, jobs=1), sweep(5, jobs=3)
-    assert (a.visits, a.table, a.hist, a.distinct_texts, a.witnesses) == (
-        b.visits,
-        b.table,
-        b.hist,
-        b.distinct_texts,
-        b.witnesses,
-    )
+    assert (a.visits, a.table, a.hist, a.witnesses) == (b.visits, b.table, b.hist, b.witnesses)
+    assert "no-duplicates" not in b.witnesses
 
 
-def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Three CPUs, and a process pool that runs each stripe in this process,
+    so the stripes see the test's sabotage; returns the sizes of the pools."""
     pools = []
 
     class InProcessPool:
@@ -72,6 +79,13 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    return pools
+
+
+def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch, in_process_pool):
+    pools = in_process_pool
     real_validate = verification.validate
 
     def signed(part):
@@ -82,8 +96,6 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
             raise RuntimeError("sabotaged")
         return real_validate(part)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr(verification, "validate", broken)
     order = []
     for_each(5, lambda p: order.append(p))
@@ -107,6 +119,34 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch):
     assert whole.witnesses["psi-statistic-swap"] == (
         f"witness {order[first_image]} (validate raised RuntimeError: sabotaged)"
     )
+
+
+def test_a_repeated_partition_is_caught(monkeypatch, in_process_pool):
+    # sabotage: at one visit index of V_4 the walk hands over the partition
+    # it visited just before, so one partition comes twice and one never
+    real_for_each = verification.for_each
+    repeat = 10
+
+    def repeating(n, visitor):
+        seen = []
+
+        def visit(part):
+            seen.append(part)
+            return visitor(seen[-2] if n == 4 and len(seen) == repeat + 1 else part)
+
+        return real_for_each(n, visit)
+
+    monkeypatch.setattr(verification, "for_each", repeating)
+    order = []
+    real_for_each(4, order.append)
+    # worker 0 of three does not inspect the repeat
+    assert repeat % 3 != 0
+    expected = f"witness {order[repeat - 1]} (rank {repeat - 1} at visit {repeat})"
+    for jobs in (1, 3):
+        failed = [r for r in iter_suite(4, jobs) if not r.ok and r.name == "no-duplicates"]
+        assert [(r.n, r.detail) for r in failed] == [(4, expected)]
+    # the split run stripes n = 2, 3 and 4 over three workers
+    assert in_process_pool == [3, 3, 3]
 
 
 def test_broken_patch_is_caught(monkeypatch):

@@ -161,7 +161,8 @@ def _iter_inputs(ns):
 
 
 def _parse(ns, text):
-    # Compared by size first, so a huge --n never builds its ground set.
+    # A huge --n is refused without building 1..n: the message compares at
+    # most size + 1 of its elements and gives n by its bit length.
     part = parse_partition(text)
     if ns.n is not None:
         require_full_ground(part, ns.n)

@@ -102,6 +102,11 @@ def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:
     return f"first difference at index {i}: {x} vs {y}"
 
 
+def _short(x: int) -> str:
+    """``x`` in decimal, or its bit length when it has ten or more digits."""
+    return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
+
+
 def make_partition(
     blocks: Iterable[Iterable[int]],
     ground: Iterable[int] | None = None,
@@ -225,9 +230,11 @@ def require_full_ground(part: SignedPartition, n: int | None = None) -> int:
     if n is None:
         n = size
     if n != size or (g and g[-1] != size):
+        # 1..size+1 meets the ground where 1..n does, and its length fits in
+        # a machine word however large n is
         raise NotFullGroundError(
-            f"ground of {size} elements is not the full set 1..{n}; "
-            f"{_first_difference(g, range(1, n + 1))}"
+            f"ground of {size} elements is not the full set 1..{_short(n)}; "
+            f"{_first_difference(g, range(1, min(n, size + 1) + 1))}"
         )
     return n
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import PartitionError
+from .core import PartitionError, _short
 
 # Largest n that ``distribution`` tabulates unless asked for more.  The formula
 # costs about n**3 / 3 big-integer subtractions: at n = 250 it takes about
@@ -57,10 +57,6 @@ def check_size(n: int, limit: int, what: str) -> None:
     """
     if n > limit:
         raise TooLargeError(f"n={_short(n)} exceeds the size guard {_short(limit)} of {what}")
-
-
-def _short(x: int) -> str:
-    return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
 
 
 def _stirling_rows(n: int) -> Iterator[list[int]]:

@@ -410,11 +410,8 @@ def _unfold(
         for i in fresh:
             key[i] = 2 * len(count) + 1
             count.append(1)
-        for i in anchors:
-            if count[key[i] >> 1] == 1:
-                singles.add(i)
-            else:
-                singles.discard(i)
+        # an anchor's label has just absorbed a run, so it is no singleton
+        singles.difference_update(anchors)
         for u in unlinked:  # the layer's runs and fresh elements
             k = key[u]
             if count[k >> 1] == 1:

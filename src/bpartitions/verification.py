@@ -5,12 +5,13 @@ block-pair histogram while checking per-partition properties: canonical form,
 text round trip, the complement involution, the peel/patch round trips with
 their statistic swaps, the per-stage swap, and the double application of the
 complement-conjugated map.  Aggregate counts are then reconciled against the
-closed formulas, the closed-form joint table and the generating function.  An
-exception is charged to the property whose check raised it, and the witness
-names the failing call.  ``no-duplicates`` holds when every partition's rank
-in the walk's order equals its visit index, so a worker keeps no
-per-partition state: its table, histogram and leaf-count table take O(n^2)
-space whatever |V_n| is.
+closed formulas, the closed-form joint table and the generating function.  A
+report passes exactly when its detail is empty.  Any exception raised while a
+visit is inspected is charged to the property whose check raised it, and the
+witness names the failing call.  ``no-duplicates`` holds when every
+partition's rank in the walk's order equals its visit index, so a worker
+keeps no per-partition state: its table, histogram and leaf-count table take
+O(n^2) space whatever |V_n| is.
 
 A sweep can be split across W processes by visit index: every worker walks
 all of V_n, which costs well under a microsecond a leaf, and inspects only the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator
 
 from .core import InternalInvariantError, adjacency_pairs, complement, statistics, validate
@@ -42,6 +42,7 @@ PER_PARTITION_PROPERTIES = (
     "validity",
     "textio-roundtrip",
     "complement-involution",
+    # the last four read the peel's trace and its patch stages
     "psi-statistic-swap",
     "psi-round-trip",
     "involution",
@@ -60,34 +61,37 @@ class Report:
 
 
 class _Accumulator:
+    """Per-worker totals, and the ``with`` block that charges a failure.
+
+    ``with acc.charge(*props):`` charges any exception raised in it to each of
+    ``props``, witnessed by the partition under inspection.
+    """
+
     def __init__(self, n: int):
         self.n = n
         self.table = [[0] * (n + 1) for _ in range(n + 1)]
         self.hist = [0] * (n + 1)
         self.index = 0  # visit index of the partition under inspection
+        self.text = ""  # its text
+        self.props: tuple[str, ...] = ()
         self.witnesses: dict[str, tuple[int, str]] = {}
         self.leaf_counts = leaf_counts(n)
 
-    def fail(self, prop: str, text: str, detail: str = "") -> None:
-        if prop not in self.witnesses:
-            suffix = f" ({detail})" if detail else ""
-            self.witnesses[prop] = (self.index, f"witness {text}{suffix}")
-
-
-class _Charge:
-    """A ``with`` block that charges any exception raised in it to one property."""
-
-    def __init__(self, acc: _Accumulator, prop: str, text: str):
-        self.acc, self.prop, self.text = acc, prop, text
+    def charge(self, *props: str) -> _Accumulator:
+        self.props = props
+        return self
 
     def __enter__(self) -> None:
         pass
 
     def __exit__(self, kind, exc, tb) -> bool:
-        failed = isinstance(exc, Exception)
-        if failed:
-            self.acc.fail(self.prop, self.text, str(exc))
-        return failed
+        if not isinstance(exc, Exception):
+            return False
+        detail = str(exc)
+        witness = f"witness {self.text} ({detail})" if detail else f"witness {self.text}"
+        for prop in self.props:
+            self.witnesses.setdefault(prop, (self.index, witness))
+        return True
 
 
 def _call(name: str, fn, *args):
@@ -105,16 +109,20 @@ def _expect(ok: bool, detail: str = "") -> None:
 
 def _inspect(part, acc: _Accumulator) -> None:
     n = acc.n
-    text = str(part)
-    st = statistics(part)
+    acc.text = text = str(part)
+    st = None  # without statistics the visit tabulates nothing and checks no further
+    with acc.charge("validity"):
+        st = _call("statistics", statistics, part)
+    if st is None:
+        return
     acc.table[st.singletons][st.adjacencies] += 1
     acc.hist[len(part.blocks)] += 1
 
-    with _Charge(acc, "no-duplicates", text):
+    with acc.charge("no-duplicates"):
         r = _call("rank", rank, part.blocks, acc.leaf_counts)
         _expect(r == acc.index, f"rank {r} at visit {acc.index}")
 
-    with _Charge(acc, "validity", text):
+    with acc.charge("validity"):
         _call("validate", validate, part)
         pairs = _call("adjacency_pairs", adjacency_pairs, part, st)
         lp, rp = {t for t, _ in pairs}, {u for _, u in pairs}
@@ -122,10 +130,10 @@ def _inspect(part, acc: _Accumulator) -> None:
         overlap = len(part.ground) >= 2 and (lp | rp) & set(st.singleton_elements)
         _expect(not overlap, "singletons overlap adjacency points")
 
-    with _Charge(acc, "textio-roundtrip", text):
+    with acc.charge("textio-roundtrip"):
         _expect(_call("parse_partition", parse_partition, text) == part)
 
-    with _Charge(acc, "complement-involution", text):
+    with acc.charge("complement-involution"):
         mirrored = _call("complement", complement, part, n)
         mst = _call("statistics", statistics, mirrored)
         same = (mst.singletons, mst.adjacencies) == (st.singletons, st.adjacencies)
@@ -133,29 +141,28 @@ def _inspect(part, acc: _Accumulator) -> None:
         _expect(_call("complement", complement, mirrored, n) == part, "double complement differs")
 
     # The trace and its patch stages are the input of every remaining property.
-    try:
+    forward = None
+    with acc.charge(*PER_PARTITION_PROPERTIES[3:]):
         trace = _call("peel", peel, part, Side.LEFT)
         forward = _call("patch_stages", patch_stages, trace, Side.RIGHT)
-    except InternalInvariantError as exc:
-        for prop in ("psi-statistic-swap", "psi-round-trip", "involution", "per-stage-swap"):
-            acc.fail(prop, text, str(exc))
+    if forward is None:
         return
     image = forward[-1]
 
-    with _Charge(acc, "psi-statistic-swap", text):
+    with acc.charge("psi-statistic-swap"):
         _call("validate", validate, image)
         ist = _call("statistics", statistics, image)
         _expect((ist.singletons, ist.adjacencies) == (st.adjacencies, st.singletons))
 
-    with _Charge(acc, "psi-round-trip", text):
+    with acc.charge("psi-round-trip"):
         _expect(_call("psi_inverse", psi_inverse, image) == part)
         _expect(_call("psi", psi, _call("psi_inverse", psi_inverse, part)) == part)
 
-    with _Charge(acc, "involution", text):
+    with acc.charge("involution"):
         mirrored = _call("complement", complement, image, n)
         _expect(_call("complement", complement, _call("psi", psi, mirrored), n) == part)
 
-    with _Charge(acc, "per-stage-swap", text):
+    with acc.charge("per-stage-swap"):
         rebuilt = _call("trace_stages", trace_stages, trace)
         _expect(rebuilt[0] == part, "trace does not rebuild its input")
         k = len(trace.layers)
@@ -170,13 +177,11 @@ def _sweep_stripe(args: tuple[int, int, int]) -> tuple:
     """Walk V_n; inspect the leaves whose visit index is ``stripe`` modulo ``stripes``."""
     n, stripe, stripes = args
     acc = _Accumulator(n)
-    indices = count()
 
     def visit(part) -> None:
-        i = next(indices)
-        if i % stripes == stripe:
-            acc.index = i
+        if acc.index % stripes == stripe:
             _inspect(part, acc)
+        acc.index += 1
 
     visits = for_each(n, visit)
     return visits, acc.table, acc.hist, acc.witnesses
@@ -235,54 +240,34 @@ def iter_suite(max_n: int, jobs: int = 1) -> Iterator[Report]:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     egf = singleton_free_egf(max_n)
     for n in range(1, max_n + 1):
-        res = sweep(n, jobs)
-        for prop in PER_PARTITION_PROPERTIES:
-            yield Report(n, prop, prop not in res.witnesses, res.witnesses.get(prop, ""))
+        for name, detail in _details(n, sweep(n, jobs), egf[n]):
+            yield Report(n, name, not detail, detail)
 
-        expected = total_count(n)
-        table_total = sum(map(sum, res.table))
-        ok = res.visits == expected == table_total
-        yield Report(
-            n,
-            "enumeration-count",
-            ok,
-            "" if ok else f"visited {res.visits}, tabulated {table_total}, expected {expected}",
-        )
-        yield Report(
-            n,
-            "no-duplicates",
-            "no-duplicates" not in res.witnesses,
-            res.witnesses.get("no-duplicates", ""),
-        )
-        row = stirling_row(n)
-        bad = [j for j in range(n + 1) if res.hist[j] != 2 ** (n - j) * row[j]]
-        yield Report(
-            n,
-            "block-histogram",
-            not bad,
-            "" if not bad else f"wrong count for {2 * bad[0]} blocks",
-        )
-        dist = BivariateDistribution(n, tuple(tuple(row) for row in res.table))
-        problems = []
-        if not dist.is_symmetric():
-            problems.append("joint table is not symmetric")
-        if dist != distribution(n, limit=n):
-            problems.append("joint table differs from the closed form")
-        yield Report(n, "polynomial-symmetry", not problems, "; ".join(problems))
-        sf_enum = dist.evaluate(0, 1)
-        af_enum = dist.evaluate(1, 0)
-        yield Report(
-            n,
-            "corollary",
-            sf_enum == af_enum,
-            "" if sf_enum == af_enum else f"{sf_enum} singleton-free vs {af_enum} adjacency-free",
-        )
-        sf_ie = singleton_free_ie(n)
-        ok = sf_enum == sf_ie == egf[n]
-        yield Report(
-            n,
-            "singleton-free-triple",
-            ok,
-            "" if ok else f"enumeration {sf_enum}, inclusion-exclusion {sf_ie}, series {egf[n]}",
-        )
 
+def _details(n: int, res: SweepResult, egf_n: int) -> Iterator[tuple[str, str]]:
+    """Each property's name and detail at n, in report order."""
+    for prop in PER_PARTITION_PROPERTIES:
+        yield prop, res.witnesses.get(prop, "")
+
+    expected = total_count(n)
+    table_total = sum(map(sum, res.table))
+    counts = f"visited {res.visits}, tabulated {table_total}, expected {expected}"
+    yield "enumeration-count", "" if res.visits == expected == table_total else counts
+    yield "no-duplicates", res.witnesses.get("no-duplicates", "")
+    row = stirling_row(n)
+    bad = [j for j in range(n + 1) if res.hist[j] != 2 ** (n - j) * row[j]]
+    yield "block-histogram", f"wrong count for {2 * bad[0]} blocks" if bad else ""
+    dist = BivariateDistribution(n, tuple(tuple(row) for row in res.table))
+    problems = []
+    if not dist.is_symmetric():
+        problems.append("joint table is not symmetric")
+    if dist != distribution(n, limit=n):
+        problems.append("joint table differs from the closed form")
+    yield "polynomial-symmetry", "; ".join(problems)
+    sf_enum = dist.evaluate(0, 1)
+    af_enum = dist.evaluate(1, 0)
+    sides = f"{sf_enum} singleton-free vs {af_enum} adjacency-free"
+    yield "corollary", "" if sf_enum == af_enum else sides
+    sf_ie = singleton_free_ie(n)
+    routes = f"enumeration {sf_enum}, inclusion-exclusion {sf_ie}, series {egf_n}"
+    yield "singleton-free-triple", "" if sf_enum == sf_ie == egf_n else routes

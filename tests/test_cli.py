@@ -286,6 +286,13 @@ class TestExitCodes:
         assert code == 2
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize("zeros", [22, 4000])
+    def test_forced_ground_too_large_for_a_machine_word(self, capsys, zeros):
+        code, out, err = invoke(capsys, "stats", "1 / 2", "--n", "1" + "0" * zeros)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv", [["enumerate", "--quiet", "--n"], ["verify", "--max-n"], ["poly", "--n"]]
     )

@@ -157,6 +157,8 @@ class TestComplement:
         assert require_full_ground(make_partition([[1, -3], [2]])) == 3
         with pytest.raises(NotFullGroundError):
             require_full_ground(make_partition([[1], [3]]))
+        with pytest.raises(NotFullGroundError):
+            require_full_ground(make_partition([[1], [2]]), 10**30)
 
     def test_requires_full_ground(self):
         sparse = make_partition([[1], [3]])
@@ -166,6 +168,8 @@ class TestComplement:
             complement(sparse, 2)
         with pytest.raises(NotFullGroundError, match="2 elements .* index 2: end vs 3$"):
             complement(make_partition([[1], [2]]), 3)
+        with pytest.raises(NotFullGroundError, match="1..a 100-bit number; .* index 2: end vs 3$"):
+            complement(make_partition([[1], [2]]), 10**30)
 
 
 @given(partitions(max_n=8, full_ground=False))

@@ -47,6 +47,8 @@ TRANSCRIPT = (
         ["complement", "1 / 2", "--n", "3"],
         ["enumerate", "--n", "4", "--stats"],
         ["poly", "--n", "7"],
+        ["verify", "--max-n", "3"],
+        ["verify", "--max-n", "4", "--quiet"],
     ]
 )
 

@@ -13,6 +13,7 @@ from bpartitions import (
     psi,
     total_count,
 )
+from bpartitions.cli import run
 from bpartitions.verification import Report, iter_suite, sweep
 
 
@@ -147,6 +148,27 @@ def test_a_repeated_partition_is_caught(monkeypatch, in_process_pool):
         assert [(r.n, r.detail) for r in failed] == [(4, expected)]
     # the split run stripes n = 2, 3 and 4 over three workers
     assert in_process_pool == [3, 3, 3]
+
+
+def test_a_raising_statistics_is_charged_to_validity(monkeypatch, capsys, in_process_pool):
+    # sabotage: statistics raises on every 3-block partition, so the visit
+    # can tabulate nothing and checks no further
+    real_statistics = verification.statistics
+
+    def broken(part):
+        if len(part.blocks) == 3:
+            raise RuntimeError("sabotaged")
+        return real_statistics(part)
+
+    monkeypatch.setattr(verification, "statistics", broken)
+    order = []
+    for_each(3, order.append)
+    first = next(p for p in order if len(p.blocks) == 3)
+    expected = f"witness {first} (statistics raised RuntimeError: sabotaged)"
+    for jobs in (1, 3):
+        assert sweep(3, jobs).witnesses["validity"] == expected
+    assert run(["verify", "--max-n", "3", "--jobs", "3"]) == 3
+    assert f"FAIL n=3 validity: {expected}\n" in capsys.readouterr().out
 
 
 def test_broken_patch_is_caught(monkeypatch):

@@ -91,7 +91,8 @@ class SignedPartition:
     def __str__(self) -> str:
         if not self.blocks:
             return "()"
-        return " / ".join(",".join(map(str, b)) for b in self.blocks)
+        # repr is str for an int, and a cheaper call than the str type
+        return " / ".join([",".join(map(repr, b)) for b in self.blocks])
 
 
 def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:
@@ -107,28 +108,82 @@ def _short(x: int) -> str:
     return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
 
 
+def _canonical(
+    blocks: Iterable[tuple[int, ...]],
+) -> tuple[list[tuple[int, ...]], tuple[int, ...], bool] | None:
+    """Each of ``blocks`` in canonical form, their support, and whether the
+    blocks were canonical already, in canonical order; None when no canonical
+    form exists: an empty block, a 0, or an absolute value that occurs twice.
+
+    One loop per block checks what the canonical form asks of it: its members
+    strictly increase in absolute value, which also rules out a 0, its first
+    member is positive, and that member is larger than the first member of
+    the block before.  Only a block that fails is sorted by absolute value or
+    negated.  Repeats, ±x in one block included, leave fewer absolute values
+    than members, and the support is those values sorted: the members' own
+    ints, not new ones.
+    """
+    out = []
+    canonical = True
+    last = 0
+    for b in blocks:
+        prev = 0
+        for m in b:
+            if m > prev:
+                prev = m
+            elif -m > prev:
+                prev = -m
+            else:
+                b = tuple(_by_abs(b))
+                canonical = False
+                break
+        if not b:
+            return None
+        first = b[0]
+        if first < 0:
+            b = tuple([-m for m in b])
+            first, canonical = -first, False
+        if first <= last:
+            canonical = False
+        last = first
+        out.append(b)
+    seen = set(map(abs, chain.from_iterable(out)))
+    if len(seen) < sum(map(len, out)) or 0 in seen:
+        return None
+    return out, tuple(sorted(seen)), canonical
+
+
 def make_partition(
     blocks: Iterable[Iterable[int]],
     ground: Iterable[int] | None = None,
 ) -> SignedPartition:
     """Canonicalize raw signed blocks into a :class:`SignedPartition`.
 
-    Either representative of each block pair is accepted: a block whose
-    minimum-absolute member is negative is replaced by its negation.  When
+    Either representative of each block pair is accepted, with its members
+    in any order: a block is sorted by absolute value and negated when its
+    first member is negative, and the blocks are sorted by that member.  One
+    pass finds which of that work the input needs, so canonical input, as
+    every line this package prints is, is checked and not rearranged; the
+    blocks are sorted only when that pass changed a block or found them out
+    of order.  A problem is then named by a member-by-member walk.  When
     ``ground`` is omitted it is inferred from the absolute values present;
     when given, it is sorted and must equal that support exactly, so a
     duplicate, zero or negative element raises :class:`GroundMismatchError`.
     """
-    ordered = list(map(_by_abs, blocks))
-    covered = sorted(map(abs, chain.from_iterable(ordered)))
-    if not all(ordered) or (covered and not covered[0]) or len(set(covered)) < len(covered):
+    raw = list(map(tuple, blocks))
+    found = _canonical(raw)
+    if found is None:
         # the first problem, found member by member
+        ordered = list(map(_by_abs, raw))
         for ms in ordered:
             _check_block(ms)
+        covered = sorted(map(abs, chain.from_iterable(ordered)))
         for i in range(1, len(covered)):
             if covered[i] == covered[i - 1]:
                 raise DuplicateElementError(f"|{covered[i]}| occurs in more than one block")
-    support = tuple(covered)
+    norm, support, canonical = found
+    if not canonical:
+        norm.sort()  # by first member, as no two blocks share one
     if ground is not None:
         given = tuple(sorted(ground))
         if given != support:
@@ -136,23 +191,27 @@ def make_partition(
                 f"blocks cover {len(support)} elements but the ground set has "
                 f"{len(given)}; {_first_difference(support, given)}"
             )
-    norm = [tuple(ms) if ms[0] > 0 else tuple([-m for m in ms]) for ms in ordered]
-    norm.sort()
     return SignedPartition(support, tuple(norm))
 
 
 def validate(part: SignedPartition) -> None:
     """Re-check every structural invariant of a stored partition.
 
-    Canonical instances are produced only by this package, so a violation is
-    reported as :class:`InternalInvariantError` rather than bad input.
+    A partition is valid exactly when the one-pass check of
+    :func:`make_partition` finds its blocks canonical as stored and their
+    support equal to ``part.ground``; only when it does not are the
+    invariants walked one by one to name the problem.  Canonical instances
+    are produced only by this package, so a violation is reported as
+    :class:`InternalInvariantError` rather than bad input.
     """
+    found = _canonical(part.blocks)
+    if found is not None and found[2] and found[1] == part.ground:
+        return
     g = part.ground
     if any(t < 1 for t in g):
         raise InternalInvariantError(f"ground {g} has a nonpositive element")
     if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
         raise InternalInvariantError(f"ground {g} is not strictly increasing")
-    covered: list[int] = []
     prev_min = 0
     for ms in part.blocks:
         if not ms:
@@ -165,9 +224,7 @@ def validate(part: SignedPartition) -> None:
         for i in range(1, len(ms)):
             if abs(ms[i]) <= abs(ms[i - 1]):
                 raise InternalInvariantError(f"block {ms} is not sorted by absolute value")
-        covered.extend(abs(m) for m in ms)
-    if tuple(sorted(covered)) != g:
-        raise InternalInvariantError("blocks do not cover the ground set exactly")
+    raise InternalInvariantError("blocks do not cover the ground set exactly")
 
 
 @dataclass(frozen=True, slots=True)

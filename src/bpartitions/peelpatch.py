@@ -16,9 +16,10 @@ singletons).
 
 ``psi`` composes a left-sided peel with a right-sided patch and swaps the
 singleton and adjacency counts; ``psi_inverse`` composes a right-sided peel
-with a left-sided patch and undoes it.  Conjugating ``psi`` with
-``complement`` gives ``involution``, a self-inverse map that still swaps the
-two statistics.
+with a left-sided patch and undoes it.  ``involution`` is ``psi`` followed
+by ``complement``, a self-inverse map that still swaps the two statistics.
+It is read off the keys of one ``psi`` run: the mirror i -> n+1-i takes rank
+i to rank n-1-i and keeps signs, so it reverses the key list.
 
 After every patch step the construction is checked: the layer's side points
 must be exactly the singleton set of the new stage and the layer's singletons
@@ -67,7 +68,6 @@ from .core import (
     GroundMismatchError,
     SignedPartition,
     require_full_ground,
-    complement,
 )
 
 
@@ -532,18 +532,18 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     return tuple(reversed([trace.core, *_built(*_unfold_trace(trace, None))]))
 
 
-def _swap(part: SignedPartition, side: Side) -> SignedPartition:
+def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int]:
     """Peel ``part`` on ``side`` and patch it back on the other side, handing
-    the peeled layers, keys, label counts and ring straight to the patch."""
+    the peeled layers, keys, label counts and ring straight to the patch.
+    Return the final keys on the ranks of ``part.ground`` and a bound on
+    their labels, for the caller to build its result from."""
     ts = part.ground
     rank = _rank(ts)
     key, count, (succ, pred) = _key(part.blocks, ts, rank), [*map(len, part.blocks)], _ring(len(ts))
     layers = list(_layers(part, key, succ, pred, count, side, rank))
-    if not layers:
-        return part
     for _ in _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite):
         pass
-    return _materialize(ts, key, len(count))
+    return key, len(count)
 
 
 def psi(part: SignedPartition) -> SignedPartition:
@@ -553,16 +553,25 @@ def psi(part: SignedPartition) -> SignedPartition:
     adjacency count as its singleton count and vice versa.
     """
     require_full_ground(part)
-    return _swap(part, Side.LEFT)
+    return _materialize(part.ground, *_swap(part, Side.LEFT))
 
 
 def psi_inverse(part: SignedPartition) -> SignedPartition:
     """Inverse of :func:`psi`: peel right points, patch back on the left."""
     require_full_ground(part)
-    return _swap(part, Side.RIGHT)
+    return _materialize(part.ground, *_swap(part, Side.RIGHT))
 
 
 def involution(part: SignedPartition) -> SignedPartition:
-    """Complement of ``psi``; applying it twice returns the input."""
-    n = require_full_ground(part)
-    return complement(psi(part), n)
+    """``complement(psi(part), n)``; applying it twice returns the input.
+
+    Built from the keys of one :func:`psi` run: on {1..n} an element's rank
+    is itself less one, so the mirror i -> n+1-i takes rank i to rank n-1-i,
+    and since it keeps signs, the key at rank i moves there unchanged.  The
+    mirrored keys are psi's keys reversed, and building a partition from
+    them, which lists blocks and members in rank order, gives the canonical
+    complement with no second pass over psi's image.
+    """
+    require_full_ground(part)
+    key, labels = _swap(part, Side.LEFT)
+    return _materialize(part.ground, key[::-1], labels)

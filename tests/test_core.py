@@ -87,9 +87,19 @@ class TestMakePartition:
             make_partition([[0, 1]])
 
     def test_validate_catches_raw_garbage(self):
-        bad = SignedPartition(tuple(range(1, 3)), ((2,), (1,)))
-        with pytest.raises(InternalInvariantError):
-            validate(bad)
+        # each corruption fails the one-pass check, and the walk names it
+        cases = [
+            ((1, 2, 3), ((1, 3, -2),), r"block \(1, 3, -2\) is not sorted by absolute value"),
+            ((1, 2), ((-1, 2),), r"block \(-1, 2\) is not the positive representative"),
+            ((1, 2), ((2,), (1,)), "blocks are not sorted by minimum absolute value"),
+            ((1, 2, 3), ((1, 2), (2, 3)), "blocks do not cover the ground set exactly"),
+            ((1,), ((), (1,)), "empty block"),
+            ((1, 2), ((1,), (2,), (3,)), "blocks do not cover the ground set exactly"),
+            ((0, 1), ((1,),), r"ground \(0, 1\) has a nonpositive element"),
+        ]
+        for ground, blocks, message in cases:
+            with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+                validate(SignedPartition(ground, blocks))
 
 
 class TestStatistics:
@@ -180,6 +190,32 @@ def test_reparsing_stored_blocks_is_identity(part):
 @given(partitions(max_n=8, full_ground=False))
 def test_renegated_blocks_normalize_back(part):
     assert make_partition([[-m for m in b] for b in part.blocks], part.ground) == part
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_every_raw_form_canonicalizes_back(n):
+    # make_partition rearranges only what fails its one-pass check: each form
+    # below fails it in a different place, or not at all
+    rng = random.Random(n)
+
+    def check(part):
+        blocks = part.blocks
+        shuffled = list(blocks)
+        rng.shuffle(shuffled)
+        ground = list(part.ground)
+        rng.shuffle(ground)
+        forms = {
+            "stored": (blocks, None),
+            "reversed": ([b[::-1] for b in blocks], None),
+            "negated": ([[-m for m in b] for b in blocks], None),
+            "shuffled": (shuffled, None),
+            "iterators": (iter(list(map(iter, blocks))), None),
+            "shuffled ground": (blocks, iter(ground)),
+        }
+        for name, (raw, given) in forms.items():
+            assert make_partition(raw, given) == part, (name, str(part))
+
+    for_each(n, check)
 
 
 @given(partitions(max_n=8, full_ground=False))

@@ -859,6 +859,26 @@ def test_trace_and_map_routes_agree_at_batch_sizes():
         assert psi(back) == part
 
 
+def check_involution_is_the_composition(part):
+    # involution reads the mirror off psi's final keys instead of running
+    # complement on psi's image; it must be that composition
+    assert involution(part) == complement(psi(part), len(part.ground)), str(part)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_involution_is_complement_of_psi(n):
+    for_each(n, check_involution_is_the_composition)
+
+
+def test_involution_is_complement_of_psi_at_batch_sizes():
+    rng = random.Random(18)
+    sizes = [1, 2, 3, 8, 21, 55, 144, 377, 610, 1000]
+    parts = [_shallow_partition(rng, n, d) for n in sizes for d in (0.0, 0.1, 0.25, 0.4, 0.5)]
+    parts += [_deep_family(n) for n in (40, 160, 400)]
+    for part in parts:
+        check_involution_is_the_composition(part)
+
+
 def _mapped_text(part):
     """The text of every map and of the stages on both sides, for one input."""
     n = len(part.ground)

@@ -57,7 +57,7 @@ def parse_partition(
         # matches, \x1c-\x1f included, which int() would not strip
         compact = "".join(s.split())
         try:
-            blocks = [tuple(map(int, b.split(","))) for b in compact.split("/")]
+            blocks = [list(map(int, b.split(","))) for b in compact.split("/")]
         except ValueError:  # more digits than int() accepts
             raise _first_problem(s, m) from None
         if any(0 in b for b in blocks):

@@ -68,6 +68,7 @@ from .core import (
     GroundMismatchError,
     SignedPartition,
     require_full_ground,
+    complement,
 )
 
 
@@ -532,15 +533,18 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     return tuple(reversed([trace.core, *_built(*_unfold_trace(trace, None))]))
 
 
-def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int]:
+def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int] | None:
     """Peel ``part`` on ``side`` and patch it back on the other side, handing
     the peeled layers, keys, label counts and ring straight to the patch.
     Return the final keys on the ranks of ``part.ground`` and a bound on
-    their labels, for the caller to build its result from."""
+    their labels, for the caller to build its result from, or None when
+    ``part`` is its own core and so its own image."""
     ts = part.ground
     rank = _rank(ts)
     key, count, (succ, pred) = _key(part.blocks, ts, rank), [*map(len, part.blocks)], _ring(len(ts))
     layers = list(_layers(part, key, succ, pred, count, side, rank))
+    if not layers:
+        return None
     for _ in _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite):
         pass
     return key, len(count)
@@ -553,13 +557,15 @@ def psi(part: SignedPartition) -> SignedPartition:
     adjacency count as its singleton count and vice versa.
     """
     require_full_ground(part)
-    return _materialize(part.ground, *_swap(part, Side.LEFT))
+    swapped = _swap(part, Side.LEFT)
+    return part if swapped is None else _materialize(part.ground, *swapped)
 
 
 def psi_inverse(part: SignedPartition) -> SignedPartition:
     """Inverse of :func:`psi`: peel right points, patch back on the left."""
     require_full_ground(part)
-    return _materialize(part.ground, *_swap(part, Side.RIGHT))
+    swapped = _swap(part, Side.RIGHT)
+    return part if swapped is None else _materialize(part.ground, *swapped)
 
 
 def involution(part: SignedPartition) -> SignedPartition:
@@ -572,6 +578,9 @@ def involution(part: SignedPartition) -> SignedPartition:
     them, which lists blocks and members in rank order, gives the canonical
     complement with no second pass over psi's image.
     """
-    require_full_ground(part)
-    key, labels = _swap(part, Side.LEFT)
+    n = require_full_ground(part)
+    swapped = _swap(part, Side.LEFT)
+    if swapped is None:
+        return complement(part, n)
+    key, labels = swapped
     return _materialize(part.ground, key[::-1], labels)

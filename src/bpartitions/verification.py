@@ -35,7 +35,7 @@ from .counting import (
     total_count,
 )
 from .enumeration import for_each, leaf_counts, rank
-from .peelpatch import Side, patch_stages, peel, psi, psi_inverse, trace_stages
+from .peelpatch import Side, involution, patch_stages, peel, psi, psi_inverse, trace_stages
 from .textio import parse_partition
 
 PER_PARTITION_PROPERTIES = (
@@ -149,6 +149,7 @@ def _inspect(part, acc: _Accumulator) -> None:
         return
     image = forward[-1]
 
+    ist = None  # the image's statistics, unless computing them raised
     with acc.charge("psi-statistic-swap"):
         _call("validate", validate, image)
         ist = _call("statistics", statistics, image)
@@ -160,15 +161,26 @@ def _inspect(part, acc: _Accumulator) -> None:
 
     with acc.charge("involution"):
         mirrored = _call("complement", complement, image, n)
-        _expect(_call("complement", complement, _call("psi", psi, mirrored), n) == part)
+        _expect(_call("involution", involution, mirrored) == part)
 
     with acc.charge("per-stage-swap"):
         rebuilt = _call("trace_stages", trace_stages, trace)
         _expect(rebuilt[0] == part, "trace does not rebuild its input")
+        # Each stage's statistics once, by identity: rebuilt[0] equals part,
+        # forward[k] is the image, and forward[0] is rebuilt[k], the core.
+        known = {id(rebuilt[0]): st}
+        if ist is not None:
+            known[id(image)] = ist
+
+        def stage_statistics(stage):
+            if id(stage) not in known:
+                known[id(stage)] = _call("statistics", statistics, stage)
+            return known[id(stage)]
+
         k = len(trace.layers)
         for idx in range(k + 1):
-            a = _call("statistics", statistics, forward[idx])
-            b = _call("statistics", statistics, rebuilt[k - idx])
+            a = stage_statistics(forward[idx])
+            b = stage_statistics(rebuilt[k - idx])
             if (a.singletons, a.adjacencies) != (b.adjacencies, b.singletons):
                 raise InternalInvariantError(f"stage {k - idx}")
 

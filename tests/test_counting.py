@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from collections import Counter
 from itertools import product
 from math import comb, factorial
@@ -18,7 +20,7 @@ from bpartitions import (
     statistics,
     total_count,
 )
-from bpartitions.counting import markings, stirling_row
+from bpartitions.counting import _shift, markings, stirling_row
 from bpartitions.enumeration import walk
 
 
@@ -171,11 +173,42 @@ class TestDistribution:
                 assert sum(row) == comb(n, s) * free[n - s], (n, s)
             assert d.evaluate(0, 1) == d.evaluate(1, 0) == series[n], n
 
+    def test_tables_are_pinned(self):
+        # SHA-256 of repr(table), recorded with an earlier, Horner-rule shift;
+        # n = 1..40 are hashed in order as one stream
+        stream = hashlib.sha256()
+        for n in range(1, 41):
+            stream.update(repr(distribution(n).table).encode())
+        assert stream.hexdigest() == (
+            "b7e359642619828efada4cfc060d6fabbc037094c027c311d2b946560905a790"
+        )
+        assert hashlib.sha256(repr(distribution(250).table).encode()).hexdigest() == (
+            "08d0753b1d65c2c8819190c0afee85ac905bb4bf86c5f3602df73b1f36fd4bbf"
+        )
+
     def test_guard(self):
         with pytest.raises(TooLargeError):
             distribution(3, limit=2)
         with pytest.raises(ValueError):
             distribution(0)
+
+
+class TestShift:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_the_definition(self, seed):
+        # sum_k c_k (z - 1)**k has z**s coefficient sum_k c_k C(k, s) (-1)**(k - s)
+        rng = random.Random(seed)
+        for length in range(81):
+            coeffs = [rng.randrange(-(10**500), 10**500) for _ in range(length)]
+            if length:
+                coeffs[rng.randrange(length)] = rng.randrange(-9, 10)
+            expected = [
+                sum(coeffs[k] * comb(k, s) * (-1) ** (k - s) for k in range(s, length))
+                for s in range(length)
+            ]
+            kept = list(coeffs)
+            assert _shift(coeffs) == expected, length
+            assert coeffs == kept
 
 
 def brute_markings(n):

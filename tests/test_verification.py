@@ -203,6 +203,31 @@ def test_broken_map_is_caught(monkeypatch):
     assert any(not r.ok for r in reports)
 
 
+def test_an_involution_that_forgets_the_mirror_is_caught(monkeypatch):
+    # sabotage: psi without the complement that follows it
+    monkeypatch.setattr(verification, "involution", psi)
+    failed = {r.name for r in iter_suite(3) if not r.ok}
+    assert failed == {"involution"}
+
+
+def test_a_wrong_core_stage_is_caught(monkeypatch):
+    # sabotage: the un-peeled stages still rebuild the input, but the stage
+    # given as the core is the one above it, so only the stage-by-stage
+    # comparison with the patch stages can see it
+    real = verification.trace_stages
+
+    def wrong_core(trace):
+        stages = real(trace)
+        return (*stages[:-1], stages[-2]) if len(stages) > 1 else stages
+
+    monkeypatch.setattr(verification, "trace_stages", wrong_core)
+    failed = {(r.n, r.name): r.detail for r in iter_suite(3) if not r.ok}
+    assert failed == {
+        (n, "per-stage-swap"): f"witness {' / '.join(map(str, range(1, n + 1)))} (stage 1)"
+        for n in (1, 2, 3)
+    }
+
+
 def test_broken_closed_form_is_caught(monkeypatch):
     # sabotage: a symmetric table that is not the enumerated one
     def broken(n, *, limit):
@@ -239,6 +264,8 @@ PEEL_PROPERTIES = {"psi-statistic-swap", "psi-round-trip", "involution", "per-st
         # the image of psi is the last patch stage: every peel property needs it
         ("patch_stages", PEEL_PROPERTIES),
         ("peel", PEEL_PROPERTIES),
+        ("psi", {"psi-round-trip"}),
+        ("involution", {"involution"}),
     ],
 )
 def test_an_exception_is_charged_to_the_property_that_raised(monkeypatch, call, charged):

@@ -33,15 +33,17 @@ Every entry point runs on one private kernel in which a step costs its own
 layer.  Its stage lives on the ranks of a sorted universe ``us`` (a
 partition's ground, or a trace's core ground and layers): rank i stands for
 ``us[i]``, ``key[i]`` is 2 * label + (sign > 0), where the label names the
-block pair, and ``succ`` and ``pred`` link the stage's ranks into a ring in
-increasing order.  These are lists indexed by rank, never by element value,
-so a sparse ground costs only its size.  Neighbours form an adjacency
-exactly when their keys are equal, and a block is a singleton exactly when
-its label occurs once.  A peel unlinks each layer from the ring; a patch or
-un-peel step re-links it in reverse order, which restores the ring the peel
-removed it from, and gives each run along the ring its anchor's key.  So
-peeling and patching n elements costs O(n + Σ|layer|) steps, with no merge,
-sort or search per layer, and ``psi`` builds one partition per call.
+block pair, or -1 for a rank outside the stage, and ``succ`` and ``pred``
+link the stage's ranks into a ring in increasing order.  The keys are the
+only record of which ranks the stage holds.  These are lists indexed by
+rank, never by element value, so a sparse ground costs only its size.
+Neighbours form an adjacency exactly when their keys are equal, and a block
+is a singleton exactly when its label occurs once.  A peel unlinks each
+layer from the ring; a patch or un-peel step re-links it in reverse order,
+which restores the ring the peel removed it from, and gives each run along
+the ring its anchor's key.  So peeling and patching n elements costs
+O(n + Σ|layer|) steps, with no merge, sort or search per layer, and ``psi``
+builds one partition per call.
 
 On {1..n}, all that ``psi`` and ``psi_inverse`` accept, an element's rank is
 itself less one, so the keys are filled straight from the blocks; a sparse
@@ -167,15 +169,11 @@ def _ring(r: int) -> tuple[list[int], list[int]]:
     return succ, succ[-2:] + succ[:-2]  # pred[i] = succ[i - 2], sharing succ's ints
 
 
-def _materialize(
-    us: Sequence[int], key: list[int], labels: int, keep: Iterable | None = None
-) -> SignedPartition:
-    """The canonical partition of the stage on the ranks ``keep`` selects, or
-    on all; ``labels`` bounds its labels.  The scan lists blocks and members
-    in canonical order, so what is left is to negate a block whose first
-    member is negative."""
-    if keep is not None:
-        us, key = list(compress(us, keep)), list(compress(key, keep))
+def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
+    """The canonical partition with the keys ``key`` on ``us``, all of them
+    set; ``labels`` bounds its labels.  The scan lists blocks and members in
+    canonical order, so what is left is to negate a block whose first member
+    is negative."""
     by_label: list[list[int] | None] = [None] * labels
     blocks = []
     for t, k in zip(us, key):
@@ -187,6 +185,12 @@ def _materialize(
     return SignedPartition(
         tuple(us), tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks])
     )
+
+
+def _stage(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
+    """The canonical partition of the stage: the ranks of ``us`` with a key."""
+    keep = [k >= 0 for k in key]
+    return _materialize(list(compress(us, keep)), list(compress(key, keep)), labels)
 
 
 def _layers(
@@ -215,7 +219,7 @@ def _layers(
         if alive == 1:
             points = set()  # the lone element is recorded as a singleton only
         elif not points.isdisjoint(singles):
-            stage = _clip(str(_materialize(ts, key, len(count), [k >= 0 for k in key])))
+            stage = _clip(str(_stage(ts, key, len(count))))
             raise InternalInvariantError(f"singletons and side points overlap in {stage}")
         step += 1
         unlinked = [*singles, *points]
@@ -265,7 +269,7 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     layer = next(_layers(part, key, *_ring(len(ts)), [*map(len, part.blocks)], side, rank), None)
     if layer is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
-    rest = _materialize(ts, key, len(part.blocks), [k >= 0 for k in key])
+    rest = _stage(ts, key, len(part.blocks))
     return _peel_layer(ts, step, layer), rest
 
 
@@ -282,7 +286,7 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     layers = tuple(
         _peel_layer(ts, x[0], x) for x in _layers(part, key, *_ring(len(ts)), count, side, rank)
     )
-    core = _materialize(ts, key, len(count), [k >= 0 for k in key]) if layers else part
+    core = _stage(ts, key, len(count)) if layers else part
     return PeelTrace(layers, core, ts)
 
 
@@ -343,10 +347,11 @@ def _anchor_missing(
 
 def _unfold(
     us: Sequence[int], key: list[int], succ: list[int], pred: list[int], count: list[int],
-    layers: Iterable[tuple], attach: Side | None,
-) -> Iterator[list[int]]:
+    layers: Iterable[tuple], attach: Side | None, stages: list[SignedPartition] | None = None,
+) -> None:
     """Re-link ``layers`` into the stage on the ranks with a key, whose labels
-    have the sizes ``count``, and yield the ranks each one re-links.
+    have the sizes ``count``, and append each stage it builds to ``stages``
+    when given.  The keys and counts are left as those of the last stage.
 
     With ``attach`` given, each layer is patched in on that side with the two
     roles interchanged; with None it is un-peeled with its original roles.
@@ -434,29 +439,29 @@ def _unfold(
             # The lone element is singleton and side point at once.
             runs = fresh = runs | fresh
         if singles != fresh or points != runs:
-            ring, i = bytearray(len(us)), unlinked[0]
-            while not ring[i]:  # mark the stage's ranks around the ring
-                ring[i], i = 1, succ[i]
             what = "un-peel" if attach is None else "patch"
             raise InternalInvariantError(
                 f"{what} at layer {step} built a stage with singletons "
                 f"{_elements(us, singles)} and side points {_elements(us, points)} instead of "
                 f"{_elements(us, fresh)} / {_elements(us, runs)}: "
-                f"{_clip(str(_materialize(us, key, len(count), ring)))}"
+                f"{_clip(str(_stage(us, key, len(count))))}"
             )
-        yield unlinked
+        if stages is not None:
+            stages.append(_stage(us, key, len(count)))
 
 
 def _unfold_trace(
-    trace: PeelTrace, attach: Side | None
-) -> tuple[tuple[int, ...], list[int], list[int], Iterator[list[int]]]:
-    """:func:`_unfold` from the core of ``trace``: the universe, the keys,
-    the label counts and the stages.
+    trace: PeelTrace, attach: Side | None, stages: list[SignedPartition] | None = None
+) -> tuple[tuple[int, ...], list[int], int]:
+    """Run :func:`_unfold` from the core of ``trace``, appending its stages to
+    ``stages`` when given, and return the universe, the final keys and a
+    bound on their labels.
 
     Each element is unlinked from the full ring once, at the last layer in
-    peel order that holds it, and a core element never.  Each layer is
-    checked when the kernel reaches it, so a bad trace fails where a
-    stage-by-stage patch would.
+    peel order that holds it, and a core element never; a layer's elements
+    start with key -1, outside the stage.  Each layer is checked when the
+    kernel reaches it, so a bad trace fails where a stage-by-stage patch
+    would.
     """
     core = trace.core
     stage = set(core.ground)  # as each layer in patch order finds it
@@ -481,20 +486,12 @@ def _unfold_trace(
                 raise MalformedLayerError("attach side must be opposite the peel side")
             _check(x.singletons, x.side_points, clash)
             yield x.step, set(map(rank, x.singletons)), set(map(rank, x.side_points)), x.side, ranks
-        if us != trace.original_ground:
-            raise GroundMismatchError("trace layers do not rebuild the original ground")
 
     count = [*map(len, core.blocks)]
-    return us, key, count, _unfold(us, key, succ, pred, count, checked(), attach)
-
-
-def _built(us: Sequence[int], key: list[int], count: list[int], stages: Iterator) -> Iterator:
-    """Each stage of :func:`_unfold_trace` as a partition."""
-    present = bytearray([k >= 0 for k in key])
-    for unlinked in stages:
-        for i in unlinked:
-            present[i] = 1
-        yield _materialize(us, key, len(count), present)
+    _unfold(us, key, succ, pred, count, checked(), attach, stages)
+    if us != trace.original_ground:
+        raise GroundMismatchError("trace layers do not rebuild the original ground")
+    return us, key, len(count)
 
 
 def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
@@ -506,7 +503,9 @@ def patch_stages(trace: PeelTrace, attach: Side) -> tuple[SignedPartition, ...]:
     singleton set and the layer's singletons as its side points on the attach
     side; a violation raises :class:`InternalInvariantError`.
     """
-    return (trace.core, *_built(*_unfold_trace(trace, attach)))
+    stages = [trace.core]
+    _unfold_trace(trace, attach, stages)
+    return tuple(stages)
 
 
 def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
@@ -515,10 +514,8 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     Only the result is built as a :class:`SignedPartition`; the stages below
     it are checked the same way but never materialised.
     """
-    us, key, count, stages = _unfold_trace(trace, attach)
-    for _ in stages:
-        pass
-    return _materialize(us, key, len(count)) if trace.layers else trace.core
+    us, key, labels = _unfold_trace(trace, attach)
+    return _materialize(us, key, labels) if trace.layers else trace.core
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -530,7 +527,9 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     back as singleton blocks.  Index j of the result is the remainder after
     layer j; index 0 is the partition the trace was peeled from.
     """
-    return tuple(reversed([trace.core, *_built(*_unfold_trace(trace, None))]))
+    stages = [trace.core]
+    _unfold_trace(trace, None, stages)
+    return tuple(reversed(stages))
 
 
 def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int] | None:
@@ -545,8 +544,7 @@ def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int] | None:
     layers = list(_layers(part, key, succ, pred, count, side, rank))
     if not layers:
         return None
-    for _ in _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite):
-        pass
+    _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite)
     return key, len(count)
 
 

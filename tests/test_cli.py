@@ -14,7 +14,8 @@ import pytest
 import bpartitions
 from bpartitions import total_count
 from bpartitions.cli import ENUMERATE_LIMIT, VERIFY_LIMIT, run
-from bpartitions.counting import COUNT_LIMIT
+from bpartitions.core import InternalInvariantError
+from bpartitions.counting import COUNT_LIMIT, BivariateDistribution
 from conftest import BIG, BIG_IMAGE, BIG_MIRROR, BIG_MIRROR_IMAGE
 
 
@@ -125,6 +126,11 @@ class TestPoly:
         code, out, _ = invoke(capsys, "poly", "--n", "2")
         assert code == 0
         assert out.splitlines() == ["0 0 1", "0 2 1", "2 0 1", "SYMMETRIC"]
+
+    def test_asymmetric_table_exits_3(self, capsys, monkeypatch):
+        skewed = BivariateDistribution(1, ((1, 1), (0, 0)))
+        monkeypatch.setattr("bpartitions.cli.distribution", lambda n, limit: skewed)
+        assert invoke(capsys, "poly", "--n", "1") == (3, "0 0 1\n0 1 1\nASYMMETRIC\n", "")
 
     def test_guard_maps_to_invalid_input(self, capsys):
         code, _, err = invoke(capsys, "poly", "--n", "5", "--limit", "4")
@@ -268,6 +274,8 @@ class TestExitCodes:
         assert invoke(capsys, "count", "--n", "-2")[0] == 1
         assert invoke(capsys, "count", "--egf", "--upto", "-1")[0] == 1
         assert invoke(capsys, "verify", "--max-n", "0")[0] == 1
+        assert invoke(capsys, "verify", "--jobs", "0")[0] == 1
+        assert invoke(capsys, "count", "--egf")[0] == 1
 
     @pytest.mark.parametrize(
         "command", ["stats", "psi", "psi-inv", "involution", "complement", "trace"]
@@ -335,6 +343,13 @@ class TestExitCodes:
         monkeypatch.setattr("bpartitions.cli.psi", broken)
         with pytest.raises(ValueError, match="bug inside psi"):
             run(["psi", "1 / 2"])
+
+    def test_internal_invariant_error_exits_3(self, capsys, monkeypatch):
+        def broken(part):
+            raise InternalInvariantError("sabotaged")
+
+        monkeypatch.setattr("bpartitions.cli.psi", broken)
+        assert invoke(capsys, "psi", "1 / 2") == (3, "", "internal invariant violated: sabotaged\n")
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0

@@ -96,6 +96,7 @@ class TestMakePartition:
             ((1,), ((), (1,)), "empty block"),
             ((1, 2), ((1,), (2,), (3,)), "blocks do not cover the ground set exactly"),
             ((0, 1), ((1,),), r"ground \(0, 1\) has a nonpositive element"),
+            ((2, 1), ((1,), (2,)), r"ground \(2, 1\) is not strictly increasing"),
         ]
         for ground, blocks, message in cases:
             with pytest.raises(InternalInvariantError, match=f"^{message}$"):

@@ -9,8 +9,8 @@ cross-check one another:
   with singleton pairs).
 * ``singleton_free_egf``: coefficients of G = exp((e^(2x) - 1)/2 - x).  From
   G' = (e^(2x) - 1) * G, G_(n+1) = H_n - G_n with H = e^(2x) * G, and H_n is
-  the last entry of row n of an additions-only triangle whose rows start at
-  G_n, so no binomial and no big-integer product is ever formed.
+  the last entry of row n of a triangle whose rows start at G_n.  Scaled by
+  powers of two, each cell of it is one addition: no binomial, no product.
 * ``distribution``: the full joint table of (singleton pairs, adjacency
   pairs) by inclusion-exclusion on the n-cycle, with no enumeration.  Marking
   k singleton elements and m adjacency positions that touch no marked
@@ -38,10 +38,9 @@ from .core import PartitionError, _short
 DISTRIBUTION_LIMIT = 250
 
 # Largest n, or order, that the ``count`` command computes.  At 1000,
-# ``singleton_free_egf`` takes about 0.3 s (0.01 s at the census order, 300)
-# and ``count --n`` peaks near 20 MB (2-vCPU Xeon, Python 3.11).  |V_1801|
-# is the first count with more than the 4,300 digits that int-to-text
-# conversion allows.
+# ``singleton_free_egf`` takes about 0.1 s (3.5 ms at the census order, 300)
+# and ``count --n`` peaks near 17 MB (2-vCPU Xeon, Python 3.11).  |V_1801| is
+# the first count with more than the 4,300 digits int-to-text conversion allows.
 COUNT_LIMIT = 1000
 
 
@@ -104,26 +103,27 @@ def singleton_free_ie(n: int) -> int:
 def singleton_free_egf(upto: int) -> list[int]:
     """Singleton-pair-free counts for n = 0..upto from the generating function.
 
-    G_n = n! * [x^n] G with G = exp((e^(2x) - 1)/2 - x).  Differentiating
-    gives G' = (e^(2x) - 1) * G, so G_(n+1) = H_n - G_n, where
-    H = e^(2x) * G has H_n = sum_k C(n, k) * 2**k * G_(n-k).  The triangle
-    T(n, 0) = G_n, T(n, i) = T(n, i-1) + 2 * T(n-1, i-1) has
-    T(n, i) = sum_k C(i, k) * 2**k * G_(n-k) by Pascal's rule, so H_n = T(n, n)
-    (Flajolet-Sedgewick, Analytic Combinatorics, ch. II; the Bell-triangle
-    scheme of Knuth, TAOCP 4A, 7.2.1.5).  One row is kept, overwritten in
-    place: the whole series costs O(upto**2) big-integer additions and shifts.
+    G_n = n! * [x^n] G with G = exp((e^(2x) - 1)/2 - x).  G' = (e^(2x) - 1) * G
+    gives G_(n+1) = H_n - G_n with H = e^(2x) * G, and H_n = T(n, n) in the
+    triangle T(n, 0) = G_n, T(n, i) = T(n, i-1) + 2 * T(n-1, i-1), which is
+    sum_k C(i, k) * 2**k * G_(n-k) by Pascal's rule (Flajolet-Sedgewick, ch. II).
+    Row n is kept as U(n, i) = 2**(upto-n) * T(n, i): the recurrence's 2 is the
+    extra factor row n - 1 carries, so U(n, i) = U(n, i-1) + U(n-1, i-1), one
+    addition a cell (Aitken's array; Knuth, TAOCP 4A, 7.2.1.5).  As upto - n >= 1,
+    halving U(n, n) - U(n, 0) = 2**(upto-n) * G_(n+1) is exact and gives
+    U(n+1, 0), and one more shift drops its factor 2**(upto-n-1).  One row, in place.
     """
     if upto < 0:
         raise ValueError(f"upto must be nonnegative, got {upto}")
     out = [1]
-    row = [1]  # row n of the triangle, for n = len(out) - 1
-    for _ in range(upto):
-        t = row[-1] - out[-1]
-        out.append(t)
-        # overwrite row n - 1 with row n: T(n-1, i) is read before it goes
+    row = [1 << upto]  # row n of the triangle times 2**(upto - n), n = len(out) - 1
+    for scale in range(upto - 1, -1, -1):  # scale = upto - n - 1
+        t = (row[-1] - row[0]) >> 1
+        out.append(t >> scale)
+        # overwrite row n - 1 with row n: U(n-1, i) is read before it goes
         for i, prev in enumerate(row):
             row[i] = t
-            t += prev << 1
+            t += prev
         row.append(t)
     return out
 

@@ -115,6 +115,13 @@ class TestSingletonFree:
         for n in range(301):
             assert values[n] == singleton_free_ie(n)
 
+    def test_every_order_is_a_prefix_of_order_1000(self):
+        # each order scales row n of its triangle by 2**(upto - n), a different
+        # power of two, so a shift that drops a bit shows as a prefix mismatch
+        full = singleton_free_egf(1000)
+        for m in [*range(41), 300]:
+            assert singleton_free_egf(m) == full[: m + 1], m
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             singleton_free_egf(-1)
@@ -162,7 +169,11 @@ class TestDistribution:
         assert distribution(n).table == tuple(tuple(row) for row in table)
 
     def test_closed_form_beyond_enumeration(self):
-        # sizes no walk reaches: the table against the counting pipelines
+        # sizes no walk reaches: the table against the counting pipelines.  Row
+        # s sums to C(n, s) times a singleton-free count, taken twice:
+        # singleton_free_ie shares _stirling_rows and _total with distribution,
+        # so one fault there could move both sides alike, while the series
+        # shares no code with distribution at all
         series = singleton_free_egf(60)
         free = [singleton_free_ie(j) for j in range(61)]
         for n in range(1, 61):
@@ -171,7 +182,12 @@ class TestDistribution:
             assert d.evaluate(1, 1) == total_count(n), n
             for s, row in enumerate(d.table):
                 assert sum(row) == comb(n, s) * free[n - s], (n, s)
+                assert sum(row) == comb(n, s) * series[n - s], (n, s)
             assert d.evaluate(0, 1) == d.evaluate(1, 0) == series[n], n
+        series = singleton_free_egf(200)
+        for n in (100, 200):
+            for s, row in enumerate(distribution(n).table):
+                assert sum(row) == comb(n, s) * series[n - s], (n, s)
 
     def test_tables_are_pinned(self):
         # SHA-256 of repr(table), recorded with an earlier, Horner-rule shift;

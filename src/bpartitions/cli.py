@@ -141,37 +141,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_inputs(ns):
+def _partitions(ns):
+    """Parse the argument, or each nonblank stripped line of stdin in turn,
+    and hold it to ``--n``; the options are checked before stdin is read."""
     if ns.n is not None and ns.n < 0:
         raise _UsageError("--n must be nonnegative")
     if ns.stdin:
         if ns.partition is not None:
             raise _UsageError("give a partition argument or --stdin, not both")
-        try:
-            for line in sys.stdin:
-                line = line.strip()
-                if line:
-                    yield line
-        except UnicodeDecodeError as exc:
-            raise _UsageError(f"stdin is not text: {exc}") from None
+        texts = filter(None, map(str.strip, sys.stdin))
     elif ns.partition is None:
         raise _UsageError("missing partition argument (or use --stdin)")
     else:
-        yield ns.partition
-
-
-def _parse(ns, text):
-    # A huge --n is refused without building 1..n: the message compares at
-    # most size + 1 of its elements and gives n by its bit length.
-    part = parse_partition(text)
-    if ns.n is not None:
-        require_full_ground(part, ns.n)
-    return part
+        texts = (ns.partition,)
+    try:
+        for text in texts:
+            part = parse_partition(text)
+            # A huge --n is refused without building 1..n: the message
+            # compares at most size + 1 of its elements and gives n by its
+            # bit length.
+            if ns.n is not None:
+                require_full_ground(part, ns.n)
+            yield part
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"stdin is not text: {exc}") from None
 
 
 def _cmd_stats(ns) -> int:
-    for text in _iter_inputs(ns):
-        part = _parse(ns, text)
+    for part in _partitions(ns):
         st = statistics(part)
         print(f"s={st.singletons} a={st.adjacencies}")
         if not ns.quiet:
@@ -182,22 +179,21 @@ def _cmd_stats(ns) -> int:
 
 
 def _cmd_map(ns) -> int:
-    # _parse has already checked that a given --n is the ground's size.
+    # _partitions has already checked that a given --n is the ground's size.
     fn = {
         "psi": psi,
         "psi-inv": psi_inverse,
         "involution": involution,
         "complement": lambda part: complement(part, len(part.ground)),
     }[ns.command]
-    for text in _iter_inputs(ns):
-        print(fn(_parse(ns, text)))
+    for part in _partitions(ns):
+        print(fn(part))
     return 0
 
 
 def _cmd_trace(ns) -> int:
-    for text in _iter_inputs(ns):
-        part = _parse(ns, text)
-        side = Side.LEFT if ns.side == "left" else Side.RIGHT
+    side = Side(ns.side)
+    for part in _partitions(ns):
         trace = peel(part, side)
         print(format_trace(trace, ns.format))
         if ns.patch:
@@ -211,19 +207,17 @@ def _cmd_enumerate(ns) -> int:
     if ns.n < 0:
         raise _UsageError("--n must be nonnegative")
     check_size(ns.n, ENUMERATE_LIMIT, "the enumeration")
+    if ns.quiet:
+        print(for_each(ns.n, lambda part: None))
+        return 0
+    visit = print
+    if ns.stats:
 
-    def visit(part):
-        if ns.quiet:
-            return
-        if ns.stats:
+        def visit(part):
             st = statistics(part)
             print(f"{part}\ts={st.singletons} a={st.adjacencies}")
-        else:
-            print(part)
 
-    count = for_each(ns.n, visit)
-    if ns.quiet:
-        print(count)
+    for_each(ns.n, visit)
     return 0
 
 
@@ -292,19 +286,15 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "handler", None) is None:
+            parser.print_help(sys.stderr)
+            return 1
+        return ns.handler(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(ns, "handler", None) is None:
-        parser.print_help(sys.stderr)
-        return 1
-    try:
-        return ns.handler(ns)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -286,6 +286,8 @@ def require_full_ground(part: SignedPartition, n: int | None = None) -> int:
     size = len(g)
     if n is None:
         n = size
+    elif n < 0:
+        raise NotFullGroundError(f"n = {_short(n)} is negative, so no ground is the set 1..n")
     if n != size or (g and g[-1] != size):
         # 1..size+1 meets the ground where 1..n does, and its length fits in
         # a machine word however large n is

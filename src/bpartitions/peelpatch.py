@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     InternalInvariantError,
@@ -290,8 +290,12 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     return PeelTrace(layers, core, ts)
 
 
-def _check(singletons: AbstractSet[int], side_points: AbstractSet[int], clash: bool) -> None:
-    """Raise the first problem of a layer; ``clash``: it meets the stage or misses the ground."""
+def _check(layer: PeelLayer, attach: Side | None, clash: bool) -> None:
+    """Raise the first problem of ``layer`` patched on ``attach`` (None:
+    un-peeled); ``clash``: it meets the stage or misses the ground."""
+    if attach is layer.side:
+        raise MalformedLayerError("attach side must be opposite the peel side")
+    singletons, side_points = layer.singletons, layer.side_points
     if not (singletons or side_points):
         raise MalformedLayerError("layer carries no elements")
     if not singletons.isdisjoint(side_points):
@@ -312,18 +316,18 @@ def patch_step(
     The layer's singletons are absorbed as anchored runs, so they become side
     points of the result; the layer's side points come back as singleton
     pairs.  ``attach`` must be the side opposite the one the layer was peeled
-    from.  This is :func:`patch` on a one-layer trace, so the result is
-    checked like every patch stage: a layer that does not swap its roles
-    raises :class:`InternalInvariantError`.
+    from.  This is :func:`patch` on a one-layer trace, which checks the layer
+    and the stage it builds: a layer that does not swap its roles raises
+    :class:`InternalInvariantError`.  The one check made here, first, is that
+    the stage and the layer make up ``target_ground``: :func:`patch` compares
+    the ground only after the kernel has run, and the kernel could fail first
+    on such a layer, so a miss raises the layer's first problem at once.
     """
-    if attach is layer.side:
-        raise MalformedLayerError("attach side must be opposite the peel side")
-    target = tuple(sorted(target_ground))
-    added = layer.singletons | layer.side_points
-    merged = {*stage.ground, *added}
-    clash = len(merged) < len(stage.ground) + len(added) or tuple(sorted(merged)) != target
-    _check(layer.singletons, layer.side_points, clash)
-    return patch(PeelTrace((layer,), stage, target), attach)
+    trace = PeelTrace((layer,), stage, target_ground)
+    covered = {*stage.ground, *layer.singletons, *layer.side_points}
+    if tuple(sorted(covered)) != trace.original_ground:
+        _check(layer, attach, True)
+    return patch(trace, attach)
 
 
 def _anchor_missing(
@@ -482,9 +486,7 @@ def _unfold_trace(
 
     def checked() -> Iterator[tuple]:
         for (x, clash, _), ranks in zip(order, unlinked):
-            if attach is x.side:
-                raise MalformedLayerError("attach side must be opposite the peel side")
-            _check(x.singletons, x.side_points, clash)
+            _check(x, attach, clash)
             yield x.step, set(map(rank, x.singletons)), set(map(rank, x.side_points)), x.side, ranks
 
     count = [*map(len, core.blocks)]

@@ -217,18 +217,17 @@ def test_criterion_8_counting_triple_agreement(tables_to_9):
         assert tables[n].evaluate(0, 1) == series[n]
         assert tables[n].evaluate(1, 1) == total_count(n)
 
-    # n = 9 and 10 by direct enumeration, counting as we visit
+    # n = 9 and 10 by direct enumeration, counting on the walk's live blocks
+    # (none is empty, so a block of size one is exactly a singleton pair)
     for n in (9, 10):
-        box = [0, 0]
+        free = [0]
 
-        def visit(part):
-            box[0] += 1
-            if all(len(b) > 1 for b in part.blocks):
-                box[1] += 1
+        def leaf(blocks, s, a):
+            if 1 not in map(len, blocks):
+                free[0] += 1
 
-        for_each(n, visit)
-        assert box[0] == total_count(n)
-        assert box[1] == singleton_free_ie(n) == series[n]
+        assert walk(n, leaf) == total_count(n)
+        assert free[0] == singleton_free_ie(n) == series[n]
     report(8, f"three counting pipelines agree (n<=30 series, n<=10 enumeration; "
               f"series in {series_elapsed * 1000:.0f} ms)")
 

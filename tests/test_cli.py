@@ -74,6 +74,16 @@ class TestTransforms:
         assert code == 0
         assert out.splitlines() == ["1,2", "1 / 2"]
 
+    def test_stdin_batch_streams_and_stops_at_its_first_bad_line(self, capsys, monkeypatch):
+        def stdin():
+            for k, line in enumerate(["1 / 2\n", "\n", "1,-1\n", "1\n"], 1):
+                assert k <= 3, "the line after the bad one was read"
+                yield line
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        code, out, err = invoke(capsys, "psi", "--stdin")
+        assert (code, out, err) == (2, "1,2\n", "error: block contains both 1 and -1\n")
+
     def test_undecodable_stdin_is_a_usage_error(self, capsys, monkeypatch):
         raw = io.BytesIO(b"1 / 2\n\xff\n")
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
@@ -98,6 +108,14 @@ class TestTrace:
         code, out, _ = invoke(capsys, "trace", BIG, "--format", "records")
         assert code == 0
         assert out.splitlines()[-1] == '{"core": "4,-7 / 6,-8"}'
+
+    def test_stdin_batch_right_side(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{BIG}\n1 / 2\n"))
+        code, out, _ = invoke(capsys, "trace", "--stdin", "--side", "right")
+        assert code == 0
+        headers = [line.split(" | ")[2].strip() for line in out.splitlines() if line[:2] == "j "]
+        assert headers == ["R_j", "R_j"]
+        assert "L_j" not in out
 
     def test_right_side(self, capsys):
         code, out, _ = invoke(capsys, "trace", BIG_MIRROR, "--side", "right", "--patch")

@@ -181,6 +181,11 @@ class TestComplement:
             complement(make_partition([[1], [2]]), 3)
         with pytest.raises(NotFullGroundError, match="1..a 100-bit number; .* index 2: end vs 3$"):
             complement(make_partition([[1], [2]]), 10**30)
+        for n, shown in ((-1, "-1"), (-5, "-5"), (-10**30, "a 100-bit number")):
+            with pytest.raises(NotFullGroundError, match=f"^n = {shown} is negative, so no "):
+                complement(make_partition([[1]]), n)
+            with pytest.raises(PartitionError, match=f"^n = {shown} is negative"):
+                require_full_ground(make_partition([]), n)
 
 
 @given(partitions(max_n=8, full_ground=False))

@@ -17,6 +17,7 @@ from functools import cache
 from .core import (
     InternalInvariantError,
     PartitionError,
+    _short,
     adjacency_pairs,
     complement,
     require_full_ground,
@@ -32,7 +33,7 @@ from .counting import (
     singleton_free_ie,
     total_count,
 )
-from .enumeration import for_each
+from .enumeration import for_each, walk
 from .peelpatch import Side, involution, peel, psi, psi_inverse
 from .textio import format_patch_stages, format_trace, parse_partition, set_text
 from .verification import iter_suite
@@ -42,13 +43,16 @@ class _UsageError(Exception):
     pass
 
 
-# Size guards of the two sweeping commands, checked before any work starts.
-# Measured on a 2-vCPU Xeon under Python 3.11: ``enumerate --n 9 --stats``
-# prints 609,441 lines (21 MB) in about 4 s, and each further n is about ten
-# times more; ``verify --max-n 8`` takes about 40 s with one job, and n = 9
-# would add some minutes.
+# Size guards, checked before the work they bound starts.  Measured on a
+# 2-vCPU Xeon under Python 3.11: ``enumerate --n 9 --stats`` prints 609,441
+# lines (21 MB) in about 4 s, and each further n is about ten times more;
+# ``verify --max-n 8`` takes about 40 s with one job, and n = 9 would add some
+# minutes.  ``trace`` caps the stage members it prints for one input, up to
+# depth times size: ``trace --patch`` on the deep family 1,-n / 2,n-1 / ...
+# prints 3,997,998 (21.7 MB) at n = 2,000 in about 3 s.
 ENUMERATE_LIMIT = 9
 VERIFY_LIMIT = 8
+TRACE_LIMIT = 4_000_000
 
 # Longest argparse message echoed; longer ones lose their middle, since they
 # quote the offending argument and it may be arbitrarily long.
@@ -195,6 +199,15 @@ def _cmd_trace(ns) -> int:
     side = Side(ns.side)
     for part in _partitions(ns):
         trace = peel(part, side)
+        # remainder j holds what layers 1..j left, and --patch prints it again
+        size, members = len(part.ground), 0
+        for layer in trace.layers:
+            size -= len(layer.singletons) + len(layer.side_points)
+            members += size * (1 + ns.patch)
+        if members > TRACE_LIMIT:
+            raise TooLargeError(
+                f"{_short(members)} stage members exceed the size guard {TRACE_LIMIT} of trace"
+            )
         print(format_trace(trace, ns.format))
         if ns.patch:
             if ns.format == "table":
@@ -208,7 +221,7 @@ def _cmd_enumerate(ns) -> int:
         raise _UsageError("--n must be nonnegative")
     check_size(ns.n, ENUMERATE_LIMIT, "the enumeration")
     if ns.quiet:
-        print(for_each(ns.n, lambda part: None))
+        print(walk(ns.n, lambda blocks, s, a: None))
         return 0
     visit = print
     if ns.stats:

@@ -251,8 +251,6 @@ def statistics(part: SignedPartition) -> Statistics:
     """
     ts = part.ground
     r = len(ts)
-    if r == 0:
-        return Statistics(0, 0, (), ())
     loc: dict[int, tuple[int, int]] = {}
     singles: list[int] = []
     for bi, ms in enumerate(part.blocks):

@@ -70,7 +70,6 @@ from .core import (
     GroundMismatchError,
     SignedPartition,
     require_full_ground,
-    complement,
 )
 
 
@@ -269,8 +268,7 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     layer = next(_layers(part, key, *_ring(len(ts)), [*map(len, part.blocks)], side, rank), None)
     if layer is None:
         raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
-    rest = _stage(ts, key, len(part.blocks))
-    return _peel_layer(ts, step, layer), rest
+    return _peel_layer(ts, step, layer), _stage(ts, key, len(part.blocks))
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -286,8 +284,7 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     layers = tuple(
         _peel_layer(ts, x[0], x) for x in _layers(part, key, *_ring(len(ts)), count, side, rank)
     )
-    core = _stage(ts, key, len(count)) if layers else part
-    return PeelTrace(layers, core, ts)
+    return PeelTrace(layers, _stage(ts, key, len(count)), ts)
 
 
 def _check(layer: PeelLayer, attach: Side | None, clash: bool) -> None:
@@ -516,8 +513,7 @@ def patch(trace: PeelTrace, attach: Side) -> SignedPartition:
     Only the result is built as a :class:`SignedPartition`; the stages below
     it are checked the same way but never materialised.
     """
-    us, key, labels = _unfold_trace(trace, attach)
-    return _materialize(us, key, labels) if trace.layers else trace.core
+    return _materialize(*_unfold_trace(trace, attach))
 
 
 def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
@@ -534,18 +530,18 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     return tuple(reversed(stages))
 
 
-def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int] | None:
+def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int]:
     """Peel ``part`` on ``side`` and patch it back on the other side, handing
     the peeled layers, keys, label counts and ring straight to the patch.
-    Return the final keys on the ranks of ``part.ground`` and a bound on
-    their labels, for the caller to build its result from, or None when
-    ``part`` is its own core and so its own image."""
+    ``part`` must have the full ground {1..n}.  Return the final keys on its
+    ranks and a bound on their labels.  A partition that is its own core
+    takes the same path: it peels into no layers, and the patch hands its
+    own keys back."""
+    require_full_ground(part)
     ts = part.ground
     rank = _rank(ts)
     key, count, (succ, pred) = _key(part.blocks, ts, rank), [*map(len, part.blocks)], _ring(len(ts))
     layers = list(_layers(part, key, succ, pred, count, side, rank))
-    if not layers:
-        return None
     _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite)
     return key, len(count)
 
@@ -556,31 +552,23 @@ def psi(part: SignedPartition) -> SignedPartition:
     Defined on partitions with full ground {1..n}; the image has the input's
     adjacency count as its singleton count and vice versa.
     """
-    require_full_ground(part)
-    swapped = _swap(part, Side.LEFT)
-    return part if swapped is None else _materialize(part.ground, *swapped)
+    return _materialize(part.ground, *_swap(part, Side.LEFT))
 
 
 def psi_inverse(part: SignedPartition) -> SignedPartition:
     """Inverse of :func:`psi`: peel right points, patch back on the left."""
-    require_full_ground(part)
-    swapped = _swap(part, Side.RIGHT)
-    return part if swapped is None else _materialize(part.ground, *swapped)
+    return _materialize(part.ground, *_swap(part, Side.RIGHT))
 
 
 def involution(part: SignedPartition) -> SignedPartition:
     """``complement(psi(part), n)``; applying it twice returns the input.
 
-    Built from the keys of one :func:`psi` run: on {1..n} an element's rank
-    is itself less one, so the mirror i -> n+1-i takes rank i to rank n-1-i,
-    and since it keeps signs, the key at rank i moves there unchanged.  The
-    mirrored keys are psi's keys reversed, and building a partition from
-    them, which lists blocks and members in rank order, gives the canonical
-    complement with no second pass over psi's image.
+    Built from the keys of one :func:`psi` run, on the same path for a
+    partition that is its own core: on {1..n} an element's rank is itself
+    less one, so the mirror i -> n+1-i takes rank i to rank n-1-i, and since
+    it keeps signs, the key at rank i moves there unchanged.  The mirrored
+    keys are psi's keys reversed; a partition built from them in rank order
+    is the canonical complement, with no second pass over psi's image.
     """
-    n = require_full_ground(part)
-    swapped = _swap(part, Side.LEFT)
-    if swapped is None:
-        return complement(part, n)
-    key, labels = swapped
+    key, labels = _swap(part, Side.LEFT)
     return _materialize(part.ground, key[::-1], labels)

@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,11 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _deep(n):
+    """The deep family 1,-n / 2,n-1 / ..., which peels one element a layer."""
+    return " / ".join([f"{i},{n + 1 - i}" for i in range(2, n // 2 + 1)] + [f"1,-{n}"])
 
 
 class TestStats:
@@ -123,6 +129,50 @@ class TestTrace:
         assert "core: 5,-7 / 6,-9" in out
         assert "result: " + BIG_MIRROR_IMAGE in out
 
+    @pytest.mark.parametrize("mode", ["table", "records"])
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_deep_input_past_the_size_guard_fails_fast(self, capsys, monkeypatch, mode, stdin):
+        # its tables would hold about 10**8 members (0.55 GB): refused after
+        # the linear peel, before any stage is built
+        line = _deep(10_000)
+        args = ["trace", "--patch", "--format", mode]
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+            args.append("--stdin")
+        else:
+            args.append(line)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "size guard" in err
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("patch", [False, True])
+    def test_size_guard_counts_every_printed_stage_member(self, capsys, monkeypatch, patch):
+        # BIG's remainders hold 7, 6, 5 and 4 members; --patch prints as many again
+        members = 22 * (1 + patch)
+        args = ["trace", BIG, *["--patch"] * patch]
+        monkeypatch.setattr("bpartitions.cli.TRACE_LIMIT", members)
+        assert invoke(capsys, *args)[0] == 0
+        monkeypatch.setattr("bpartitions.cli.TRACE_LIMIT", members - 1)
+        code, out, err = invoke(capsys, *args)
+        assert (code, out) == (2, "")
+        assert f"{members} stage members exceed the size guard {members - 1}" in err
+
+    def test_inputs_within_the_size_guard_trace(self, capsys):
+        code, out, _ = invoke(capsys, "trace", "--patch", _deep(400))
+        assert code == 0
+        assert out.splitlines()[-1].startswith("result: ")
+        # 10,000 elements in two layers (the left points 3, 7, 11, ..., then
+        # their partners) and a 5,000-element core 1,-2 / 5,-6 / ...
+        pairs = range(1, 10_001, 2)
+        shallow = " / ".join(f"{i},{i + 1}" if i % 4 == 3 else f"{i},-{i + 1}" for i in pairs)
+        code, out, _ = invoke(capsys, "trace", "--patch", "--format", "records", shallow)
+        assert code == 0
+        assert len(out.splitlines()) == 6
+
 
 class TestEnumerate:
     def test_streams_in_order(self, capsys):
@@ -137,6 +187,16 @@ class TestEnumerate:
     def test_quiet_counts(self, capsys):
         _, out, _ = invoke(capsys, "enumerate", "--n", "5", "--quiet")
         assert out.strip() == "257"
+
+    def test_quiet_builds_no_partition(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("enumerate --quiet built partitions")
+
+        monkeypatch.setattr("bpartitions.cli.for_each", fail)
+        for n, count in (("5", "257"), ("0", "1")):
+            code, out, _ = invoke(capsys, "enumerate", "--n", n, "--quiet")
+            assert code == 0
+            assert out == count + "\n"
 
 
 class TestPoly:

@@ -50,7 +50,8 @@ itself less one, so the keys are filled straight from the blocks; a sparse
 ground looks its ranks up in a dict.  A ``psi`` call makes four passes over
 the ground in Python: it fills the keys, scans for the first layer's side
 points, scans the keys once more to find the core and set the baseline of
-the patch's per-stage check, and builds the result.  The ring and a shifted
+the patch's per-stage check, and builds the result.  A partition that is its
+own core peels into no layers and skips the third pass.  The ring and a shifted
 copy of the keys are list copies.  The peel keeps a count per label and
 scans a block only when its count falls to 1, to find its last member; the
 patch starts from the peel's final counts.  Everything else costs the
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -315,16 +316,13 @@ def patch_step(
     pairs.  ``attach`` must be the side opposite the one the layer was peeled
     from.  This is :func:`patch` on a one-layer trace, which checks the layer
     and the stage it builds: a layer that does not swap its roles raises
-    :class:`InternalInvariantError`.  The one check made here, first, is that
-    the stage and the layer make up ``target_ground``: :func:`patch` compares
-    the ground only after the kernel has run, and the kernel could fail first
-    on such a layer, so a miss raises the layer's first problem at once.
+    :class:`InternalInvariantError`.  One check comes first here: that the
+    stage and the layer make up ``target_ground``.  :func:`patch` compares the
+    ground only after the kernel has run, and the kernel could fail first on
+    such a layer, so a miss raises the layer's first problem at once.
     """
     trace = PeelTrace((layer,), stage, target_ground)
-    covered = {*stage.ground, *layer.singletons, *layer.side_points}
-    if tuple(sorted(covered)) != trace.original_ground:
-        _check(layer, attach, True)
-    return patch(trace, attach)
+    return _materialize(*_unfold_trace(trace, attach, ground_first=True))
 
 
 def _anchor_missing(
@@ -364,7 +362,8 @@ def _unfold(
     Every stage must carry the layer's returning elements as its singleton
     set and the anchored ones as its side points on the attach side, or
     :class:`InternalInvariantError` is raised.  The singletons and the side
-    points are kept as whole sets, set by a scan of the first stage; the
+    points are kept as whole sets, set by a scan of the first stage when the
+    first layer arrives, so a trace with no layers costs no scan; the
     points are those of the last layer's side, and move to the other end of
     their pairs when a layer's side differs.  The sets are compared after
     every step but updated only at the layer, at the anchors, whose labels
@@ -374,13 +373,17 @@ def _unfold(
     after.  So its status cannot change, and the comparison is the one a
     fresh scan would make.
     """
+    layers = iter(layers)
+    first = next(layers, None)
+    if first is None:
+        return
     left = current = Side.LEFT
     points = {i for i, k in enumerate(key) if k >= 0 and k == key[succ[i]]}  # left points
     singles = set()
     if 1 in count:
         singles = {i for i, k in enumerate(key) if k >= 0 and count[k >> 1] == 1}
     size = len(key) - key.count(-1)
-    for step, singletons, side_points, side, unlinked in layers:
+    for step, singletons, side_points, side, unlinked in chain((first,), layers):
         if attach is None:
             runs, fresh = side_points, singletons
         else:
@@ -452,11 +455,14 @@ def _unfold(
 
 
 def _unfold_trace(
-    trace: PeelTrace, attach: Side | None, stages: list[SignedPartition] | None = None
+    trace: PeelTrace, attach: Side | None, stages: list[SignedPartition] | None = None,
+    ground_first: bool = False,
 ) -> tuple[tuple[int, ...], list[int], int]:
     """Run :func:`_unfold` from the core of ``trace``, appending its stages to
     ``stages`` when given, and return the universe, the final keys and a
-    bound on their labels.
+    bound on their labels.  The universe is compared with the trace's
+    original ground after the kernel has run, or, with ``ground_first``,
+    before it, where a miss raises the first layer's problem.
 
     Each element is unlinked from the full ring once, at the last layer in
     peel order that holds it, and a core element never; a layer's elements
@@ -473,6 +479,9 @@ def _unfold_trace(
         order.append((x, clash, elements - stage if clash else elements))
         stage |= elements
     us = tuple(sorted(stage))
+    mismatch = us != trace.original_ground
+    if mismatch and ground_first:
+        _check(order[0][0], attach, True)
     rank = _rank(us)
     key, (succ, pred) = _key(core.blocks, us, rank), _ring(len(us))
     unlinked = [list(map(rank, new)) for _, _, new in order]
@@ -488,7 +497,7 @@ def _unfold_trace(
 
     count = [*map(len, core.blocks)]
     _unfold(us, key, succ, pred, count, checked(), attach, stages)
-    if us != trace.original_ground:
+    if mismatch:
         raise GroundMismatchError("trace layers do not rebuild the original ground")
     return us, key, len(count)
 

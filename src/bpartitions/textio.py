@@ -5,9 +5,13 @@ representative per block pair, e.g. ``1 / 2 / 3,11,12 / 4,-7,9,10 / 5,6,-8``.
 The empty partition is the literal ``()``.  Output is canonical and unique;
 parsing is forgiving about whitespace, accepts either representative of each
 block pair, and understands both the ASCII hyphen and the Unicode minus sign.
-A line is parsed with one regex match of the whole grammar plus splits; a
-line that does not match is walked element by element only to report its
-first problem.
+A line takes one of two routes to the same blocks.  A well-formed line with
+ASCII digits and no leading zero is checked by C-level string methods and
+decoded by the stdlib JSON scanner, with no regex.  Any line that route
+refuses takes one regex match of the whole grammar plus splits: ``()``, an
+element written with a leading zero, non-ASCII digits or more digits than
+int() accepts, and every malformed line, which is then walked element by
+element only to report its first problem.
 
 Traces render either as an aligned table (step, singletons, side points,
 remainder) or as machine-readable records: one JSON object per line with a
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Iterable
 
 from .core import PartitionError, SignedPartition, make_partition
@@ -36,6 +41,8 @@ _UNICODE_MINUS = chr(0x2212)
 _ELEMENT = re.compile(r"-?\d+")
 _LINE = re.compile(r"\s*-?\d+\s*(?:[,/]\s*-?\d+\s*)*")
 _SPACE = re.compile(r"\s*")
+_NOT_GRAMMAR = str.maketrans("", "", "0123456789,/-")  # deletes the grammar's characters
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def parse_partition(
@@ -44,13 +51,59 @@ def parse_partition(
 ) -> SignedPartition:
     """Parse partition text; the inverse of ``str(part)``.
 
-    A line is matched once against the whole grammar and then split into
-    blocks and members; only a line that fails is walked element by element,
-    to report its first problem from the left.  With ``ground`` omitted, the
+    A well-formed line is read by the stdlib JSON scanner, which builds the
+    blocks' int lists in C.  Any line that scanner route refuses is read by
+    one regex match of the whole grammar and splits instead: ``()``, an
+    element with a leading zero, non-ASCII digits or more digits than int()
+    accepts, and every malformed line, which is then walked element by
+    element to report its first problem from the left.  A line the scanner
+    reads, the regex route reads to the same blocks, so both routes give
+    the same partitions and errors.  With ``ground`` omitted, the
     support is inferred from the absolute values present; a given ground is
     checked as :func:`~bpartitions.core.make_partition` checks it.
     """
     s = text.replace(_UNICODE_MINUS, "-")
+    blocks = _scan(s)
+    if blocks is None:
+        blocks = _match(s)
+    return make_partition(blocks, ground)
+
+
+def _scan(s: str) -> list[list[int]] | None:
+    """The blocks of ``s`` read by the JSON scanner, or None if it refuses.
+
+    Whitespace may only pad a separator, so every gap between the tokens
+    must touch a ``,`` or ``/``.  What is left must be ASCII digits,
+    separators and minus signs, which the JSON number grammar then reads as
+    ``-?(0|[1-9][0-9]*)`` elements: it refuses a leading zero, a stray sign
+    or separator and more digits than int() accepts.  An empty block or a
+    zero is refused here, so every line the scanner accepts is one the
+    regex route accepts with the same blocks.  A line spaced as this
+    package prints it, with whitespace only in each " / ", needs no split.
+    """
+    compact = s.replace(" / ", "/")
+    if compact.translate(_NOT_GRAMMAR):
+        tokens = s.split()
+        for a, b in zip(tokens, tokens[1:]):
+            if a[-1] not in ",/" and b[0] not in ",/":
+                return None
+        compact = "".join(tokens)
+        if compact.translate(_NOT_GRAMMAR):
+            return None
+    try:
+        # the brackets are all ours, so a scan that succeeds ends at the last one
+        blocks = _DECODE("[[" + compact.replace("/", "],[") + "]]")[0]
+    except ValueError:
+        return None
+    if [] in blocks or 0 in chain.from_iterable(blocks):
+        return None
+    return blocks
+
+
+def _match(s: str) -> list[list[int]]:
+    """The blocks of ``s`` read by one regex match of the whole grammar and
+    splits, ``[]`` for ``()``; raise the :class:`ParseError` of its first
+    problem if it has one."""
     m = _LINE.match(s)
     if m and m.end() == len(s):
         # whitespace only pads separators here; str.split() drops what \s
@@ -62,7 +115,7 @@ def parse_partition(
             raise _first_problem(s, m) from None
         if any(0 in b for b in blocks):
             raise _first_problem(s, m)
-        return make_partition(blocks, ground)
+        return blocks
     i = _SPACE.match(s).end()
     if s[i : i + 1] != "(":
         raise _first_problem(s, m)
@@ -72,7 +125,7 @@ def parse_partition(
     j = _SPACE.match(s, j + 1).end()
     if j < len(s):
         raise ParseError("trailing text after '()'", j)
-    return make_partition([], ground)
+    return []
 
 
 def _first_problem(s: str, m: re.Match[str] | None) -> ParseError:

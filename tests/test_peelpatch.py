@@ -163,6 +163,19 @@ class TestPatchStep:
         with pytest.raises(GroundMismatchError):
             patch_step(parse_partition("4,-7"), layer, Side.RIGHT, (3, 4))
 
+    def test_repeated_target_element_is_a_ground_mismatch(self):
+        # the same set as stage ground plus layer, but 10 twice
+        stage = parse_partition("4,-7 / 6,-8")
+        layer = PeelLayer(4, frozenset(), frozenset({10}), Side.LEFT)
+        with pytest.raises(GroundMismatchError, match="not the disjoint union"):
+            patch_step(stage, layer, Side.RIGHT, (4, 6, 7, 8, 10, 10))
+
+    def test_ground_mismatch_comes_before_the_kernel(self):
+        # the kernel would raise AnchorMissingError on this layer
+        layer = PeelLayer(1, frozenset({2}), frozenset({4}), Side.LEFT)
+        with pytest.raises(GroundMismatchError, match="not the disjoint union"):
+            patch_step(make_partition([[3]]), layer, Side.RIGHT, (2, 3, 4, 5))
+
     def test_attach_must_oppose_peel_side(self):
         layer = PeelLayer(1, frozenset({3}), frozenset(), Side.LEFT)
         with pytest.raises(MalformedLayerError):

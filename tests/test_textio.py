@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
+from bpartitions import textio
 from bpartitions import (
     GroundMismatchError,
     PartitionError,
@@ -195,6 +196,102 @@ def test_parse_outcomes_are_pinned():
     counts = Counter(line.split(":", 1)[0] if ":" in line else "ok" for line in outcomes)
     assert counts == TEXT_FUZZ_COUNTS
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == TEXT_FUZZ_DIGEST
+
+
+def _outcome(text, ground=None):
+    try:
+        return "ok", parse_partition(text, ground)
+    except PartitionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture
+def regex_route(monkeypatch):
+    """Runs a callable with the scanner route refusing every line, so
+    parse_partition reads each one by the regex route."""
+
+    def run(f, *args):
+        with monkeypatch.context() as m:
+            m.setattr(textio, "_scan", lambda s: None)
+            return f(*args)
+
+    return run
+
+
+# (text, ground, whether the scanner route reads it)
+ROUTE_CASES = [
+    ("1 / 2 / 3,11,12 / 4,-7,9,10 / 5,6,-8", None, True),
+    ("1 2", None, False),
+    ("- 1", None, False),
+    ("1 -2", None, False),
+    ("1, -2", None, True),
+    ("1  /  2", None, True),
+    ("1 / / 2", None, False),
+    ("1 ,- 2", None, False),
+    ("007", None, False),
+    ("1 / 007,-08", None, False),
+    ("-0", None, False),
+    ("0", None, False),
+    ("1,-0", None, False),
+    ("+1", None, False),
+    ("1_0", None, False),
+    ("1.0", None, False),
+    ("1e3", None, False),
+    ("[1]", None, False),
+    (_ARABIC_INDIC[1] + " / " + _ARABIC_INDIC[2] + ",-" + _ARABIC_INDIC[3], None, False),
+    ("1 / 2," + _ARABIC_INDIC[3], None, False),
+    ("1//2", None, False),
+    ("/1", None, False),
+    ("1/", None, False),
+    (",1", None, False),
+    ("1,,2", None, False),
+    ("1,", None, False),
+    ("", None, False),
+    ("   ", None, False),
+    ("1," + NINES, None, False),
+    ("1 / " + "9" * 4000, None, True),
+    ("1\x1c/\x1d2\x1e,\x1f3", None, True),
+    ("1\x1c2", None, False),
+    ("1\u00a0/\u00a02 ,\u30003", None, True),
+    ("1\u00a02", None, False),
+    ("\u30001\u3000/\u30002\u3000", None, True),
+    ("\u22124,7 / 6,\u22128", None, True),
+    ("1,\u2212 2", None, False),
+    ("()", None, False),
+    (" ( ) ", None, False),
+    ("()", (1,), False),
+    ("1,2", (1, 2), True),
+    ("1,2", (1, 2, 3), True),
+    ("1,-1", None, True),
+    ("1 / 1", None, True),
+    ("3 / 1", None, True),
+]
+
+
+@pytest.mark.parametrize(
+    "text,ground,scanned",
+    ROUTE_CASES,
+    ids=[(f"{text[:12]}...{len(text)}" if len(text) > 40 else repr(text))
+         + ("" if ground is None else f"-{len(ground)}")
+         for text, ground, _ in ROUTE_CASES],
+)
+def test_both_routes_give_one_outcome(regex_route, text, ground, scanned):
+    assert (textio._scan(text.replace("\u2212", "-")) is not None) == scanned
+    assert _outcome(text, ground) == regex_route(_outcome, text, ground)
+
+
+def test_both_routes_agree_on_fuzz(regex_route, monkeypatch):
+    scanned = Counter()
+
+    def counting(s, scan=textio._scan):
+        blocks = scan(s)
+        scanned[blocks is not None] += 1
+        return blocks
+
+    monkeypatch.setattr(textio, "_scan", counting)
+    outcomes = text_fuzz_outcomes(12, 20_000)
+    assert scanned[True] > 2_000
+    assert outcomes == regex_route(text_fuzz_outcomes, 12, 20_000)
 
 
 TRACE_TABLE = """\

@@ -5,13 +5,14 @@ representative per block pair, e.g. ``1 / 2 / 3,11,12 / 4,-7,9,10 / 5,6,-8``.
 The empty partition is the literal ``()``.  Output is canonical and unique;
 parsing is forgiving about whitespace, accepts either representative of each
 block pair, and understands both the ASCII hyphen and the Unicode minus sign.
-A line takes one of two routes to the same blocks.  A well-formed line with
-ASCII digits and no leading zero is checked by C-level string methods and
-decoded by the stdlib JSON scanner, with no regex.  Any line that route
-refuses takes one regex match of the whole grammar plus splits: ``()``, an
-element written with a leading zero, non-ASCII digits or more digits than
-int() accepts, and every malformed line, which is then walked element by
-element only to report its first problem.
+A line takes one of two routes to the same blocks.  A well-formed line
+spaced as this package prints it, with ASCII digits and no leading zero, is
+checked by C-level string methods and decoded by the stdlib JSON scanner,
+with no regex.  Any line that route refuses takes one regex match of the
+whole grammar plus splits: other spacing, ``()``, an element written with a
+leading zero, non-ASCII digits or more digits than int() accepts, and every
+malformed line, which is then walked element by element only to report its
+first problem.
 
 Traces render either as an aligned table (step, singletons, side points,
 remainder) or as machine-readable records: one JSON object per line with a
@@ -51,11 +52,12 @@ def parse_partition(
 ) -> SignedPartition:
     """Parse partition text; the inverse of ``str(part)``.
 
-    A well-formed line is read by the stdlib JSON scanner, which builds the
-    blocks' int lists in C.  Any line that scanner route refuses is read by
-    one regex match of the whole grammar and splits instead: ``()``, an
-    element with a leading zero, non-ASCII digits or more digits than int()
-    accepts, and every malformed line, which is then walked element by
+    A well-formed line spaced as ``str(part)`` spaces it is read by the
+    stdlib JSON scanner, which builds the blocks' int lists in C.  Any line
+    that scanner route refuses is read by one regex match of the whole
+    grammar and splits instead: other spacing, ``()``, an element with a
+    leading zero, non-ASCII digits or more digits than int() accepts, and
+    every malformed line, which is then walked element by
     element to report its first problem from the left.  A line the scanner
     reads, the regex route reads to the same blocks, so both routes give
     the same partitions and errors.  With ``ground`` omitted, the
@@ -72,24 +74,17 @@ def parse_partition(
 def _scan(s: str) -> list[list[int]] | None:
     """The blocks of ``s`` read by the JSON scanner, or None if it refuses.
 
-    Whitespace may only pad a separator, so every gap between the tokens
-    must touch a ``,`` or ``/``.  What is left must be ASCII digits,
+    The line must be spaced as this package prints it, with whitespace only
+    in each " / ".  Once those spaces go, what is left must be ASCII digits,
     separators and minus signs, which the JSON number grammar then reads as
     ``-?(0|[1-9][0-9]*)`` elements: it refuses a leading zero, a stray sign
     or separator and more digits than int() accepts.  An empty block or a
     zero is refused here, so every line the scanner accepts is one the
-    regex route accepts with the same blocks.  A line spaced as this
-    package prints it, with whitespace only in each " / ", needs no split.
+    regex route accepts with the same blocks.
     """
     compact = s.replace(" / ", "/")
     if compact.translate(_NOT_GRAMMAR):
-        tokens = s.split()
-        for a, b in zip(tokens, tokens[1:]):
-            if a[-1] not in ",/" and b[0] not in ",/":
-                return None
-        compact = "".join(tokens)
-        if compact.translate(_NOT_GRAMMAR):
-            return None
+        return None
     try:
         # the brackets are all ours, so a scan that succeeds ends at the last one
         blocks = _DECODE("[[" + compact.replace("/", "],[") + "]]")[0]

@@ -224,8 +224,8 @@ ROUTE_CASES = [
     ("1 2", None, False),
     ("- 1", None, False),
     ("1 -2", None, False),
-    ("1, -2", None, True),
-    ("1  /  2", None, True),
+    ("1, -2", None, False),
+    ("1  /  2", None, False),
     ("1 / / 2", None, False),
     ("1 ,- 2", None, False),
     ("007", None, False),
@@ -250,11 +250,11 @@ ROUTE_CASES = [
     ("   ", None, False),
     ("1," + NINES, None, False),
     ("1 / " + "9" * 4000, None, True),
-    ("1\x1c/\x1d2\x1e,\x1f3", None, True),
+    ("1\x1c/\x1d2\x1e,\x1f3", None, False),
     ("1\x1c2", None, False),
-    ("1\u00a0/\u00a02 ,\u30003", None, True),
+    ("1\u00a0/\u00a02 ,\u30003", None, False),
     ("1\u00a02", None, False),
-    ("\u30001\u3000/\u30002\u3000", None, True),
+    ("\u30001\u3000/\u30002\u3000", None, False),
     ("\u22124,7 / 6,\u22128", None, True),
     ("1,\u2212 2", None, False),
     ("()", None, False),
@@ -290,7 +290,7 @@ def test_both_routes_agree_on_fuzz(regex_route, monkeypatch):
 
     monkeypatch.setattr(textio, "_scan", counting)
     outcomes = text_fuzz_outcomes(12, 20_000)
-    assert scanned[True] > 2_000
+    assert scanned[True] > 1_000
     assert outcomes == regex_route(text_fuzz_outcomes, 12, 20_000)
 
 

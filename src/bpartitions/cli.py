@@ -17,6 +17,7 @@ from functools import cache
 from .core import (
     InternalInvariantError,
     PartitionError,
+    SignedPartition,
     _short,
     adjacency_pairs,
     complement,
@@ -223,14 +224,15 @@ def _cmd_enumerate(ns) -> int:
     if ns.quiet:
         print(walk(ns.n, lambda blocks, s, a: None))
         return 0
-    visit = print
     if ns.stats:
+        ground = tuple(range(1, ns.n + 1))
 
-        def visit(part):
-            st = statistics(part)
-            print(f"{part}\ts={st.singletons} a={st.adjacencies}")
+        def leaf(blocks, s, a):
+            print(f"{SignedPartition(ground, tuple(blocks))}\ts={s} a={a}")
 
-    for_each(ns.n, visit)
+        walk(ns.n, leaf)
+    else:
+        for_each(ns.n, print)
     return 0
 
 

@@ -18,6 +18,14 @@ The two statistics of interest:
   position r pairs t_r with t_1, and a ground set of size one counts its lone
   element as one singleton pair and one adjacency pair.
 
+The peel/patch kernel, ``statistics`` and the walk's ``rank`` read a
+partition through one encoding, its keys.  On a sorted universe ``us`` (the
+ground, or a superset), ``key[i]`` is 2 * label + (sign > 0) for the element
+``us[i]``: the index of its block and its sign there, or -1 when the
+partition does not hold it.  ``_key`` fills the keys and ``_materialize``
+builds the canonical partition back from them.  Cyclic neighbours form an
+adjacency pair exactly when their keys are equal.
+
 ``complement`` mirrors a partition of {1..n} through i -> n+1-i.  It is an
 involution and preserves both statistics.
 """
@@ -26,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, compress
+from operator import eq
+from typing import Callable, Iterable, Sequence
 
 
 class PartitionError(ValueError):
@@ -57,6 +66,11 @@ class InternalInvariantError(RuntimeError):
 _by_abs = partial(sorted, key=abs)
 
 
+def _short(x: int) -> str:
+    """``x`` in decimal, or its bit length when it has ten or more digits."""
+    return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
+
+
 def _check_block(ms: list[int]) -> None:
     """Raise the first problem of one block, given its members sorted by abs."""
     if not ms:
@@ -67,8 +81,8 @@ def _check_block(ms: list[int]) -> None:
             raise PartitionError("0 cannot be a block member")
         if abs(m) == abs(prev):
             if m == -prev:
-                raise ZeroBlockError(f"block contains both {prev} and {m}")
-            raise DuplicateElementError(f"{m} occurs twice in one block")
+                raise ZeroBlockError(f"block contains both {_short(prev)} and {_short(m)}")
+            raise DuplicateElementError(f"{_short(m)} occurs twice in one block")
         prev = m
 
 
@@ -95,17 +109,60 @@ class SignedPartition:
         return " / ".join([",".join(map(repr, b)) for b in self.blocks])
 
 
+_PRECEDING = (-1).__add__  # the rank of an element of {1..n}
+
+
+def _rank(us: Sequence[int]) -> Callable[[int], int]:
+    """The rank of an element of the sorted ground ``us``: on {1..n} it is the
+    element less one, and a sparse ground looks it up."""
+    if not us or (us[0] == 1 and us[-1] == len(us)):
+        return _PRECEDING
+    return dict(zip(us, range(len(us)))).__getitem__
+
+
+def _key(blocks: Iterable[Sequence[int]], us: Sequence[int], rank: Callable) -> list[int]:
+    """The key of each element of ``us`` in the partition ``blocks``, or -1;
+    ``rank`` is :func:`_rank` of ``us``."""
+    key = [-1] * len(us)
+    if rank is not _PRECEDING:
+        for label, block in enumerate(blocks):
+            for m in block:
+                key[rank(abs(m))] = 2 * label + (m > 0)
+        return key
+    for label, block in enumerate(blocks):
+        k = 2 * label
+        for m in block:
+            if m > 0:
+                key[m - 1] = k + 1
+            else:
+                key[~m] = k  # ~m == -m - 1
+    return key
+
+
+def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
+    """The canonical partition with the keys ``key`` on ``us``, all of them
+    set; ``labels`` bounds its labels.  The scan lists blocks and members in
+    canonical order, so what is left is to negate a block whose first member
+    is negative."""
+    by_label: list[list[int] | None] = [None] * labels
+    blocks = []
+    for t, k in zip(us, key):
+        block = by_label[k >> 1]
+        if block is None:
+            block = by_label[k >> 1] = []
+            blocks.append(block)
+        block.append(t if k & 1 else -t)
+    return SignedPartition(
+        tuple(us), tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks])
+    )
+
+
 def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:
     """Where two sequences first differ; messages name this, never whole grounds."""
     i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-    x = a[i] if i < len(a) else "end"
-    y = b[i] if i < len(b) else "end"
+    x = _short(a[i]) if i < len(a) else "end"
+    y = _short(b[i]) if i < len(b) else "end"
     return f"first difference at index {i}: {x} vs {y}"
-
-
-def _short(x: int) -> str:
-    """``x`` in decimal, or its bit length when it has ten or more digits."""
-    return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
 
 
 def _canonical(
@@ -180,7 +237,7 @@ def make_partition(
         covered = sorted(map(abs, chain.from_iterable(ordered)))
         for i in range(1, len(covered)):
             if covered[i] == covered[i - 1]:
-                raise DuplicateElementError(f"|{covered[i]}| occurs in more than one block")
+                raise DuplicateElementError(f"|{_short(covered[i])}| occurs in more than one block")
     norm, support, canonical = found
     if not canonical:
         norm.sort()  # by first member, as no two blocks share one
@@ -244,25 +301,17 @@ class Statistics:
 def statistics(part: SignedPartition) -> Statistics:
     """Count singleton pairs and adjacency pairs.
 
-    The adjacency test at position j asks whether +t_j and +t_{j+1} share a
-    signed block; sharing a block pair with opposite orientations does not
-    count.  On a one-element ground the lone element is both a singleton pair
-    and its own adjacency pair.
+    Read off the keys: position j is an adjacency exactly when t_j and
+    t_{j+1} have equal keys, same block pair and same sign, so sharing a
+    block pair with opposite orientations does not count.  The singletons
+    are the blocks of length one.  On a one-element ground the lone element
+    is both a singleton pair and its own adjacency pair.
     """
     ts = part.ground
-    r = len(ts)
-    loc: dict[int, tuple[int, int]] = {}
-    singles: list[int] = []
-    for bi, ms in enumerate(part.blocks):
-        if len(ms) == 1:
-            singles.append(ms[0])
-        for m in ms:
-            if m > 0:
-                loc[m] = (bi, 1)
-            else:
-                loc[-m] = (bi, -1)
-    positions = [j + 1 for j in range(r) if loc[ts[j]] == loc[ts[(j + 1) % r]]]
-    return Statistics(len(singles), len(positions), tuple(singles), tuple(positions))
+    key = _key(part.blocks, ts, _rank(ts))
+    singles = tuple([b[0] for b in part.blocks if len(b) == 1])
+    positions = tuple(compress(range(1, len(ts) + 1), map(eq, key, key[1:] + key[:1])))
+    return Statistics(len(singles), len(positions), singles, positions)
 
 
 def adjacency_pairs(part: SignedPartition, stats: Statistics) -> tuple[tuple[int, int], ...]:

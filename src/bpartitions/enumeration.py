@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import SignedPartition
+from .core import _PRECEDING, SignedPartition, _key
 
 Visitor = Callable[[SignedPartition], object]
 Leaf = Callable[[list[tuple[int, ...]], int, int], object]
@@ -114,20 +114,16 @@ def rank(blocks: tuple[tuple[int, ...], ...], w: list[list[int]]) -> int:
     """The visit index at which :func:`walk` reaches ``blocks``.
 
     ``blocks`` are those of a canonical member of V_n, and ``w`` is
-    :func:`leaf_counts` of some N >= n.
+    :func:`leaf_counts` of some N >= n.  It reads ``core._key``: element i
+    opens a block exactly when its label is the number opened before it, and
+    else ``key ^ 1`` is 2k + (sign < 0) for the pair k it joins.
     """
     n = sum(map(len, blocks))
-    # element -> 2k + (1 if its sign is -) when it joins pair k; None when it opens one
-    step: list[int | None] = [None] * (n + 1)
-    for k, b in enumerate(blocks):
-        for t in b[1:]:
-            step[abs(t)] = 2 * k + (t < 0)
     index = j = 0
-    for i in range(1, n + 1):
-        row = w[n - i]
-        p = step[i]
-        if p is None:
+    for i, k in enumerate(_key(blocks, range(1, n + 1), _PRECEDING), 1):
+        if k >> 1 == j:
             j += 1
         else:
-            index += row[j + 1] + p * row[j]
+            row = w[n - i]
+            index += row[j + 1] + (k ^ 1) * row[j]
     return index

@@ -31,31 +31,26 @@ same way.
 
 Every entry point runs on one private kernel in which a step costs its own
 layer.  Its stage lives on the ranks of a sorted universe ``us`` (a
-partition's ground, or a trace's core ground and layers): rank i stands for
-``us[i]``, ``key[i]`` is 2 * label + (sign > 0), where the label names the
-block pair, or -1 for a rank outside the stage, and ``succ`` and ``pred``
-link the stage's ranks into a ring in increasing order.  The keys are the
-only record of which ranks the stage holds.  These are lists indexed by
-rank, never by element value, so a sparse ground costs only its size.
-Neighbours form an adjacency exactly when their keys are equal, and a block
-is a singleton exactly when its label occurs once.  A peel unlinks each
-layer from the ring; a patch or un-peel step re-links it in reverse order,
-which restores the ring the peel removed it from, and gives each run along
-the ring its anchor's key.  So peeling and patching n elements costs
-O(n + Σ|layer|) steps, with no merge, sort or search per layer, and ``psi``
-builds one partition per call.
+partition's ground, or a trace's core ground and layers), in the key
+encoding that :mod:`bpartitions.core` defines, with key -1 for a rank
+outside the stage; ``succ`` and ``pred`` link the stage's ranks into a ring
+in increasing order.  The keys are the only record of which ranks the stage
+holds.  These are lists indexed by rank, never by element value, so a
+sparse ground costs only its size.  A peel unlinks each layer from the
+ring; a patch or un-peel step re-links it in reverse order, which restores
+the ring the peel removed it from, and gives each run along the ring its
+anchor's key.  So peeling and patching n elements costs O(n + Σ|layer|)
+steps, with no merge, sort or search per layer, and ``psi`` builds one
+partition per call.
 
-On {1..n}, all that ``psi`` and ``psi_inverse`` accept, an element's rank is
-itself less one, so the keys are filled straight from the blocks; a sparse
-ground looks its ranks up in a dict.  A ``psi`` call makes four passes over
-the ground in Python: it fills the keys, scans for the first layer's side
-points, scans the keys once more to find the core and set the baseline of
-the patch's per-stage check, and builds the result.  A partition that is its
-own core peels into no layers and skips the third pass.  The ring and a shifted
-copy of the keys are list copies.  The peel keeps a count per label and
-scans a block only when its count falls to 1, to find its last member; the
-patch starts from the peel's final counts.  Everything else costs the
-peeled elements.
+A ``psi`` call makes four passes over its ground {1..n} in Python: it fills
+the keys, scans for the first layer's side points, scans the keys once more
+to find the core and set the baseline of the patch's per-stage check, and
+builds the result.  A partition that is its own core peels into no layers
+and skips the third pass.  The ring and a shifted copy of the keys are list
+copies.  The peel keeps a count per label and scans a block only when its
+count falls to 1, to find its last member; the patch starts from the peel's
+final counts.  Everything else costs the peeled elements.
 """
 
 from __future__ import annotations
@@ -70,6 +65,9 @@ from .core import (
     PartitionError,
     GroundMismatchError,
     SignedPartition,
+    _key,
+    _materialize,
+    _rank,
     require_full_ground,
 )
 
@@ -133,58 +131,10 @@ def _elements(us: Sequence[int], ranks: Iterable[int]) -> str:
     return _clip(str([us[i] for i in sorted(ranks)]))
 
 
-_PRECEDING = (-1).__add__  # the rank of an element of {1..n}
-
-
-def _rank(us: Sequence[int]) -> Callable[[int], int]:
-    """The rank of an element of the sorted ground ``us``: on {1..n} it is the
-    element less one, and a sparse ground looks it up."""
-    if not us or (us[0] == 1 and us[-1] == len(us)):
-        return _PRECEDING
-    return dict(zip(us, range(len(us)))).__getitem__
-
-
-def _key(blocks: Iterable[Sequence[int]], us: Sequence[int], rank: Callable) -> list[int]:
-    """The key of each element of ``us`` in the partition ``blocks``, or -1;
-    ``rank`` is :func:`_rank` of ``us``."""
-    key = [-1] * len(us)
-    if rank is not _PRECEDING:
-        for label, block in enumerate(blocks):
-            for m in block:
-                key[rank(abs(m))] = 2 * label + (m > 0)
-        return key
-    for label, block in enumerate(blocks):
-        k = 2 * label
-        for m in block:
-            if m > 0:
-                key[m - 1] = k + 1
-            else:
-                key[~m] = k  # ~m == -m - 1
-    return key
-
-
 def _ring(r: int) -> tuple[list[int], list[int]]:
     """Successor and predecessor lists of the ring over all ranks 0..r-1."""
     succ = [*range(1, r), 0]
     return succ, succ[-2:] + succ[:-2]  # pred[i] = succ[i - 2], sharing succ's ints
-
-
-def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
-    """The canonical partition with the keys ``key`` on ``us``, all of them
-    set; ``labels`` bounds its labels.  The scan lists blocks and members in
-    canonical order, so what is left is to negate a block whose first member
-    is negative."""
-    by_label: list[list[int] | None] = [None] * labels
-    blocks = []
-    for t, k in zip(us, key):
-        block = by_label[k >> 1]
-        if block is None:
-            block = by_label[k >> 1] = []
-            blocks.append(block)
-        block.append(t if k & 1 else -t)
-    return SignedPartition(
-        tuple(us), tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks])
-    )
 
 
 def _stage(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
@@ -268,7 +218,7 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     key = _key(part.blocks, ts, rank)
     layer = next(_layers(part, key, *_ring(len(ts)), [*map(len, part.blocks)], side, rank), None)
     if layer is None:
-        raise AlreadyCoreError(f"{part} has no singleton or adjacency pairs")
+        raise AlreadyCoreError(f"{_clip(str(part))} has no singleton or adjacency pairs")
     return _peel_layer(ts, step, layer), _stage(ts, key, len(part.blocks))
 
 

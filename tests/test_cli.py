@@ -408,6 +408,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and "offset 0" in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", f"1,{'9' * 4000},-{'9' * 4000}"], "block contains both a 13288-bit"),
+            (["stats", f"{'9' * 4000} / {'9' * 4000}"], "|a 13288-bit number| occurs"),
+            (["psi", f"1 / {'9' * 4000}"], "index 1: a 13288-bit number vs 2"),
+        ],
+    )
+    def test_error_naming_a_huge_element_is_short(self, capsys, argv, message):
+        # a 4,000-digit element parses, and the error it causes names it by
+        # its bit length instead of echoing it
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert len(err.encode()) < 200
+        assert "Traceback" not in err
+
     def test_usage_error_does_not_echo_a_huge_argument(self, capsys):
         code, _, err = invoke(capsys, "stats", "1", "--n", "9" * 5000)
         assert code == 1

@@ -15,14 +15,19 @@ from bpartitions import (
     InternalInvariantError,
     NotFullGroundError,
     PartitionError,
+    Side,
     SignedPartition,
+    Statistics,
     ZeroBlockError,
     adjacency_pairs,
     complement,
     for_each,
     make_partition,
+    peel,
     require_full_ground,
     statistics,
+    total_count,
+    trace_stages,
     validate,
 )
 from conftest import BIG, BIG_MIRROR_IMAGE, partitions
@@ -129,6 +134,42 @@ class TestStatistics:
     def test_empty_partition(self):
         st = statistics(make_partition([]))
         assert (st.singletons, st.adjacencies) == (0, 0)
+
+
+def reference_statistics(part):
+    """The statistics by the element -> (block, sign) dict that the key
+    encoding replaced: t_j and t_{j+1} are an adjacency pair when they map
+    to the same pair."""
+    ts = part.ground
+    r = len(ts)
+    loc = {}
+    singles = []
+    for bi, ms in enumerate(part.blocks):
+        if len(ms) == 1:
+            singles.append(ms[0])
+        for m in ms:
+            loc[abs(m)] = (bi, 1 if m > 0 else -1)
+    positions = [j + 1 for j in range(r) if loc[ts[j]] == loc[ts[(j + 1) % r]]]
+    return Statistics(len(singles), len(positions), tuple(singles), tuple(positions))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_statistics_match_the_dict_reference(n):
+    def check(part):
+        assert statistics(part) == reference_statistics(part), str(part)
+
+    assert for_each(n, check) == total_count(n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_statistics_match_the_dict_reference_on_peel_stages(n):
+    # the peel remainders live on sparse grounds, where a rank is looked up
+    def check(part):
+        for side in Side:
+            for stage in trace_stages(peel(part, side)):
+                assert statistics(stage) == reference_statistics(stage), (str(part), str(stage))
+
+    for_each(n, check)
 
 
 def points(part):

@@ -99,13 +99,14 @@ def test_visit_order_is_pinned():
 
 def test_walk_counts_follow_for_each_order():
     # the walk's running (s, a) at each leaf is the recount of the partition
-    # for_each builds at the same leaf
-    counts = []
-    walk(5, lambda blocks, s, a: counts.append((s, a)))
-    expected = []
-    for_each(5, lambda p: expected.append((statistics(p).singletons, statistics(p).adjacencies)))
-    assert counts == expected
-    assert len(counts) == total_count(5)
+    # for_each builds at the same leaf, at every leaf of V_0..V_7
+    for n in range(8):
+        counts = []
+        walk(n, lambda blocks, s, a: counts.append((s, a)))
+        expected = []
+        for_each(n, lambda p: expected.append((statistics(p).singletons, statistics(p).adjacencies)))
+        assert counts == expected, n
+        assert len(counts) == total_count(n)
 
 
 def test_per_block_pair_counts():

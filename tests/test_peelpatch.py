@@ -81,6 +81,17 @@ class TestPeelStep:
         with pytest.raises(AlreadyCoreError):
             peel_step(make_partition([[1, -2]]), Side.LEFT)
 
+    def test_core_message_is_bounded(self):
+        # 1,-2 / 3,-4 / ... / 1999,-2000 is its own core; the message elides
+        # the middle of its 4,000-odd characters
+        core = make_partition([[i, -i - 1] for i in range(1, 2000, 2)])
+        with pytest.raises(AlreadyCoreError) as info:
+            peel_step(core, Side.LEFT)
+        message = str(info.value)
+        assert message.startswith("1,-2 / 3,-4") and " ... " in message
+        assert message.endswith("1999,-2000 has no singleton or adjacency pairs")
+        assert len(message) < 200
+
 
 class TestPeel:
     def test_left_trace_rows(self, big):
@@ -297,8 +308,16 @@ class TestPsi:
         assert str(psi_inverse(big_mirror)) == BIG_MIRROR_IMAGE
 
     def test_conjugation_identity(self, big):
-        # complement(psi(x)) agrees with psi_inverse(complement(x))
+        # complement(psi(x)) agrees with psi_inverse(complement(x)); complement
+        # builds its blocks without the kernel's keys, so on all of V_0..V_7
+        # this holds the kernel to code it does not share
         assert complement(psi(big), 12) == psi_inverse(complement(big, 12))
+        for n in range(8):
+
+            def check(part):
+                assert psi_inverse(part) == complement(psi(complement(part, n)), n), str(part)
+
+            for_each(n, check)
 
     def test_requires_full_ground(self):
         sparse = make_partition([[1], [3]])

@@ -181,6 +181,9 @@ def text_fuzz_outcomes(seed, cases):
 
 # Recorded from the character-by-character scanner: the outcomes of the
 # 20,000 strings of seed 11, counted by outcome, and a digest of every line.
+# The digest was re-recorded when messages began to name an element of ten
+# or more digits by its bit length; that changed six GroundMismatchError
+# lines and nothing else.
 TEXT_FUZZ_COUNTS = {
     "DuplicateElementError": 867,
     "GroundMismatchError": 473,
@@ -188,7 +191,7 @@ TEXT_FUZZ_COUNTS = {
     "ZeroBlockError": 230,
     "ok": 4028,
 }
-TEXT_FUZZ_DIGEST = "69ce8b6cc7eba3be308262033b3d72cc99b33741d617b1ae2efc4724c8cb4f33"
+TEXT_FUZZ_DIGEST = "c875c717ac7683e9c460e57b7cd6b9ad318b5f3c14b9029736f3573be6caab95"
 
 
 def test_parse_outcomes_are_pinned():

@@ -67,8 +67,10 @@ _by_abs = partial(sorted, key=abs)
 
 
 def _short(x: int) -> str:
-    """``x`` in decimal, or its bit length when it has ten or more digits."""
-    return str(x) if abs(x) < 10**9 else f"a {x.bit_length()}-bit number"
+    """``x`` in decimal, or its sign and bit length when it has ten or more digits."""
+    if abs(x) < 10**9:
+        return str(x)
+    return f"a {'negative ' if x < 0 else ''}{x.bit_length()}-bit number"
 
 
 def _check_block(ms: list[int]) -> None:
@@ -334,7 +336,8 @@ def require_full_ground(part: SignedPartition, n: int | None = None) -> int:
     if n is None:
         n = size
     elif n < 0:
-        raise NotFullGroundError(f"n = {_short(n)} is negative, so no ground is the set 1..n")
+        said = f"n = {n} is negative" if n > -(10**9) else f"n is {_short(n)}"
+        raise NotFullGroundError(f"{said}, so no ground is the set 1..n")
     if n != size or (g and g[-1] != size):
         # 1..size+1 meets the ground where 1..n does, and its length fits in
         # a machine word however large n is

@@ -414,6 +414,8 @@ class TestExitCodes:
             (["stats", f"1,{'9' * 4000},-{'9' * 4000}"], "block contains both a 13288-bit"),
             (["stats", f"{'9' * 4000} / {'9' * 4000}"], "|a 13288-bit number| occurs"),
             (["psi", f"1 / {'9' * 4000}"], "index 1: a 13288-bit number vs 2"),
+            # the bit length keeps the sign
+            (["stats", f"1,{'9' * 4000},-{'9' * 4000}"], "and a negative 13288-bit number\n"),
         ],
     )
     def test_error_naming_a_huge_element_is_short(self, capsys, argv, message):

@@ -73,6 +73,10 @@ class TestMakePartition:
             "first difference at index 1: 3 vs 2"
         )
 
+    def test_ground_mismatch_message_keeps_the_sign_of_a_huge_element(self):
+        with pytest.raises(GroundMismatchError, match="index 0: 1 vs a negative 100-bit number$"):
+            make_partition([[1]], [-(10**30)])
+
     def test_unsorted_explicit_ground_is_stored_sorted(self):
         part = make_partition([[7], [3, -5]], [7, 3, 5])
         assert part.ground == (3, 5, 7)
@@ -222,10 +226,14 @@ class TestComplement:
             complement(make_partition([[1], [2]]), 3)
         with pytest.raises(NotFullGroundError, match="1..a 100-bit number; .* index 2: end vs 3$"):
             complement(make_partition([[1], [2]]), 10**30)
-        for n, shown in ((-1, "-1"), (-5, "-5"), (-10**30, "a 100-bit number")):
-            with pytest.raises(NotFullGroundError, match=f"^n = {shown} is negative, so no "):
+        for n, said in (
+            (-1, "n = -1 is negative"),
+            (-5, "n = -5 is negative"),
+            (-10**30, "n is a negative 100-bit number"),
+        ):
+            with pytest.raises(NotFullGroundError, match=f"^{said}, so no "):
                 complement(make_partition([[1]]), n)
-            with pytest.raises(PartitionError, match=f"^n = {shown} is negative"):
+            with pytest.raises(PartitionError, match=f"^{said}, so no "):
                 require_full_ground(make_partition([]), n)
 
 

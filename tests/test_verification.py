@@ -122,6 +122,103 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch, in_pro
     )
 
 
+def _signed(part):
+    return any(m < 0 for b in part.blocks for m in b)
+
+
+def _sabotage_validate(monkeypatch, order):
+    real = verification.validate
+
+    def broken(part):
+        if _signed(part):
+            raise RuntimeError("sabotaged")
+        return real(part)
+
+    monkeypatch.setattr(verification, "validate", broken)
+
+
+def _sabotage_psi_inverse(monkeypatch, order):
+    # psi-round-trip calls psi_inverse on the input and on its image: it
+    # raises only on a partition visited past visit 100 whose preimage under
+    # psi is also visited past visit 100, so every visit it fails lies past
+    # visit 100, in a later batch than validity's first witness; returns the
+    # index of psi-round-trip's first witness
+    real = verification.psi_inverse
+    late = set(order[101:]) & {psi(p) for p in order[101:]}
+
+    def broken(part):
+        if part in late:
+            raise RuntimeError("sabotaged")
+        return real(part)
+
+    monkeypatch.setattr(verification, "psi_inverse", broken)
+    _sabotage_validate(monkeypatch, order)
+    return next(i for i, p in enumerate(order) if p in late or psi(p) in late)
+
+
+def _sabotage_statistics_after_validate(monkeypatch, order):
+    # validity fails at the first signed visit, through validate, and again
+    # a few visits later, through statistics, which an earlier check runs
+    first = next(i for i, p in enumerate(order) if _signed(p))
+    real = verification.statistics
+
+    def broken(part):
+        if part == order[first + 4]:
+            raise RuntimeError("sabotaged")
+        return real(part)
+
+    monkeypatch.setattr(verification, "statistics", broken)
+    _sabotage_validate(monkeypatch, order)
+
+
+@pytest.mark.parametrize(
+    "sabotage",
+    [None, _sabotage_validate, _sabotage_psi_inverse, _sabotage_statistics_after_validate],
+)
+def test_witnesses_do_not_depend_on_the_batch_size(monkeypatch, in_process_pool, sabotage):
+    order = []
+    for_each(5, order.append)
+    round_trip = sabotage(monkeypatch, order) if sabotage else None
+
+    def outcome(jobs):
+        res = sweep(5, jobs)
+        return res.visits, res.table, res.hist, res.witnesses
+
+    default = [outcome(jobs) for jobs in (1, 3)]
+    assert default[0] == default[1]
+    for chunk in (1, 2, 5):
+        monkeypatch.setattr(verification, "CHUNK", chunk)
+        assert [outcome(jobs) for jobs in (1, 3)] == default
+
+    witnesses = default[0][3]
+    if sabotage is None:
+        assert not witnesses
+        return
+    first = next(i for i, p in enumerate(order) if _signed(p))
+    assert witnesses["validity"] == (
+        f"witness {order[first]} (validate raised RuntimeError: sabotaged)"
+    )
+    if sabotage is _sabotage_psi_inverse:
+        assert round_trip > 100 and first < 64
+        assert witnesses["psi-round-trip"] == (
+            f"witness {order[round_trip]} (psi_inverse raised RuntimeError: sabotaged)"
+        )
+
+
+def test_a_sweep_holds_at_most_one_batch(monkeypatch):
+    sizes = []
+    real = verification._inspect_batch
+
+    def recorded(batch, acc):
+        sizes.append(len(batch))
+        return real(batch, acc)
+
+    monkeypatch.setattr(verification, "_inspect_batch", recorded)
+    assert not sweep(6).witnesses
+    assert max(sizes) <= verification.CHUNK
+    assert sum(sizes) == total_count(6) == 1539
+
+
 def test_a_repeated_partition_is_caught(monkeypatch, in_process_pool):
     # sabotage: at one visit index of V_4 the walk hands over the partition
     # it visited just before, so one partition comes twice and one never

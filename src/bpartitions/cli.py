@@ -5,6 +5,18 @@ violation (a guaranteed property failed, which is always a bug), and 141
 (128 + SIGPIPE, what a shell reports for a process that signal ended) when
 the reader of standard output closed it early, as ``| head -1`` does; the
 rest of the output is dropped and nothing is written to standard error.
+
+``psi``, ``psi-inv`` and ``involution`` take each line from text to keys and
+back, with no partition built on either side: the JSON scanner route of
+``textio`` reads the blocks, ``core._key`` fills their keys on {1..r} for r
+members, the peel/patch kernel runs on those keys, and the final keys are
+printed as canonical text.  A member beyond r makes ``_key`` raise
+IndexError, and a repeated absolute value leaves a key unset, so neither
+needs the canonical form to be found.  Any line this route refuses takes
+the library route instead, which parses the line into a partition, maps it
+and prints the image, and so gives every error its message and exit code:
+a line the scanner refuses (other spacing, ``()``, a leading zero, a Unicode
+minus), a member beyond r, a repeat, or a ``--n`` other than r.
 """
 
 from __future__ import annotations
@@ -15,9 +27,12 @@ import sys
 from functools import cache
 
 from .core import (
+    _PRECEDING,
     InternalInvariantError,
     PartitionError,
     SignedPartition,
+    _key,
+    _key_text,
     _short,
     adjacency_pairs,
     complement,
@@ -35,8 +50,8 @@ from .counting import (
     total_count,
 )
 from .enumeration import for_each, walk
-from .peelpatch import Side, involution, peel, psi, psi_inverse
-from .textio import format_patch_stages, format_trace, parse_partition, set_text
+from .peelpatch import Side, _swap, involution, peel, psi, psi_inverse
+from .textio import _scan, format_patch_stages, format_trace, parse_partition, set_text
 from .verification import iter_suite
 
 
@@ -146,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _partitions(ns):
-    """Parse the argument, or each nonblank stripped line of stdin in turn,
-    and hold it to ``--n``; the options are checked before stdin is read."""
+def _texts(ns):
+    """The argument, or each nonblank stripped line of stdin in turn; the
+    options are checked before stdin is read."""
     if ns.n is not None and ns.n < 0:
         raise _UsageError("--n must be nonnegative")
     if ns.stdin:
@@ -160,16 +175,47 @@ def _partitions(ns):
     else:
         texts = (ns.partition,)
     try:
-        for text in texts:
-            part = parse_partition(text)
-            # A huge --n is refused without building 1..n: the message
-            # compares at most size + 1 of its elements and gives n by its
-            # bit length.
-            if ns.n is not None:
-                require_full_ground(part, ns.n)
-            yield part
+        yield from texts
     except UnicodeDecodeError as exc:
         raise _UsageError(f"stdin is not text: {exc}") from None
+
+
+def _partition(text: str, n: int | None) -> SignedPartition:
+    """Parse ``text`` and hold it to ``--n`` when given."""
+    part = parse_partition(text)
+    # A huge --n is refused without building 1..n: the message compares at
+    # most size + 1 of its elements and gives n by its bit length.
+    if n is not None:
+        require_full_ground(part, n)
+    return part
+
+
+def _partitions(ns):
+    """Each partition of :func:`_texts`, held to ``--n``."""
+    for text in _texts(ns):
+        yield _partition(text, ns.n)
+
+
+def _mapped(text: str, n: int | None, side: Side, mirror: bool) -> str | None:
+    """The image of ``text`` under the kernel map that peels on ``side``,
+    its keys reversed when ``mirror``, printed from the keys; None when the
+    key route refuses the line.  It relies on the scanner refusing a 0,
+    which would write the last key."""
+    blocks = _scan(text)
+    if blocks is None:
+        return None
+    r = sum(map(len, blocks))
+    if n is not None and n != r:
+        return None
+    try:
+        key = _key(blocks, range(r), _PRECEDING)
+    except IndexError:
+        return None
+    if -1 in key:
+        return None
+    ground = range(1, r + 1)
+    key, labels = _swap(ground, blocks, key, side)
+    return _key_text(ground, key[::-1] if mirror else key, labels)
 
 
 def _cmd_stats(ns) -> int:
@@ -183,16 +229,27 @@ def _cmd_stats(ns) -> int:
     return 0
 
 
+# command -> the library map, the side its kernel run peels on, and whether
+# its keys are mirrored
+_KERNEL_MAPS = {
+    "psi": (psi, Side.LEFT, False),
+    "psi-inv": (psi_inverse, Side.RIGHT, False),
+    "involution": (involution, Side.LEFT, True),
+}
+
+
 def _cmd_map(ns) -> int:
-    # _partitions has already checked that a given --n is the ground's size.
-    fn = {
-        "psi": psi,
-        "psi-inv": psi_inverse,
-        "involution": involution,
-        "complement": lambda part: complement(part, len(part.ground)),
-    }[ns.command]
-    for part in _partitions(ns):
-        print(fn(part))
+    if ns.command == "complement":
+        # _partitions has already checked that a given --n is the ground's size.
+        for part in _partitions(ns):
+            print(complement(part, len(part.ground)))
+        return 0
+    fn, side, mirror = _KERNEL_MAPS[ns.command]
+    for text in _texts(ns):
+        line = _mapped(text, ns.n, side, mirror)
+        if line is None:
+            line = str(fn(_partition(text, ns.n)))
+        print(line)
     return 0
 
 

@@ -22,9 +22,11 @@ The peel/patch kernel, ``statistics`` and the walk's ``rank`` read a
 partition through one encoding, its keys.  On a sorted universe ``us`` (the
 ground, or a superset), ``key[i]`` is 2 * label + (sign > 0) for the element
 ``us[i]``: the index of its block and its sign there, or -1 when the
-partition does not hold it.  ``_key`` fills the keys and ``_materialize``
-builds the canonical partition back from them.  Cyclic neighbours form an
-adjacency pair exactly when their keys are equal.
+partition does not hold it.  ``_key`` fills the keys from blocks in any
+order and either representative of each pair.  ``_materialize`` builds the
+canonical partition back from them, and ``_key_text`` its line, from the
+same grouping pass.  Cyclic neighbours form an adjacency pair exactly when
+their keys are equal.
 
 ``complement`` mirrors a partition of {1..n} through i -> n+1-i.  It is an
 involution and preserves both statistics.
@@ -105,10 +107,16 @@ class SignedPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __str__(self) -> str:
-        if not self.blocks:
-            return "()"
-        # repr is str for an int, and a cheaper call than the str type
-        return " / ".join([",".join(map(repr, b)) for b in self.blocks])
+        return _text(self.blocks)
+
+
+def _text(blocks: Sequence[Sequence[int]]) -> str:
+    """The line of ``blocks``, canonical when they are: members joined by
+    ",", blocks by " / ", and ``()`` for none."""
+    if not blocks:
+        return "()"
+    # repr is str for an int, and a cheaper call than the str type
+    return " / ".join([",".join(map(repr, b)) for b in blocks])
 
 
 _PRECEDING = (-1).__add__  # the rank of an element of {1..n}
@@ -141,11 +149,12 @@ def _key(blocks: Iterable[Sequence[int]], us: Sequence[int], rank: Callable) -> 
     return key
 
 
-def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
-    """The canonical partition with the keys ``key`` on ``us``, all of them
-    set; ``labels`` bounds its labels.  The scan lists blocks and members in
-    canonical order, so what is left is to negate a block whose first member
-    is negative."""
+def _groups(us: Iterable[int], key: list[int], labels: int) -> list[list[int]]:
+    """The elements of ``us`` with the keys ``key``, all of them set, grouped
+    by label in order of first appearance and signed by their keys;
+    ``labels`` bounds the labels.  On a sorted ``us`` the groups and their
+    members come in canonical order, so a group is its block's canonical
+    representative, or its negation when its first member is negative."""
     by_label: list[list[int] | None] = [None] * labels
     blocks = []
     for t, k in zip(us, key):
@@ -154,9 +163,21 @@ def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartit
             block = by_label[k >> 1] = []
             blocks.append(block)
         block.append(t if k & 1 else -t)
+    return blocks
+
+
+def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
+    """The canonical partition with the keys ``key`` on the sorted ``us``;
+    see :func:`_groups`."""
     return SignedPartition(
-        tuple(us), tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in blocks])
+        tuple(us),
+        tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in _groups(us, key, labels)]),
     )
+
+
+def _key_text(us: Iterable[int], key: list[int], labels: int) -> str:
+    """``str(_materialize(us, key, labels))``, built without the partition."""
+    return _text([b if b[0] > 0 else [-m for m in b] for b in _groups(us, key, labels)])
 
 
 def _first_difference(a: Sequence[int], b: Sequence[int]) -> str:

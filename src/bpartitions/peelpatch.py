@@ -50,7 +50,10 @@ builds the result.  A partition that is its own core peels into no layers
 and skips the third pass.  The ring and a shifted copy of the keys are list
 copies.  The peel keeps a count per label and scans a block only when its
 count falls to 1, to find its last member; the patch starts from the peel's
-final counts.  Everything else costs the peeled elements.
+final counts.  Everything else costs the peeled elements.  The map
+commands run the same entry, :func:`_swap`, on the keys of a scanned line
+and print its final keys, building no partition (see
+:mod:`bpartitions.cli`).
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .core import (
     PartitionError,
     GroundMismatchError,
     SignedPartition,
+    _PRECEDING,
     _key,
     _materialize,
     _rank,
@@ -144,21 +148,22 @@ def _stage(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
 
 
 def _layers(
-    part: SignedPartition, key: list[int], succ: list[int], pred: list[int], count: list[int],
-    side: Side, rank: Callable,
+    ts: Sequence[int], blocks: Sequence[Sequence[int]], key: list[int], succ: list[int],
+    pred: list[int], count: list[int], side: Side, rank: Callable,
 ) -> Iterator[tuple]:
-    """The peel layers of ``part`` in the kernel's form ``(step, singletons,
-    side_points, side, unlinked)``: two sets of ranks, and the ranks in the
-    order they were unlinked.  ``key``, ``succ`` and ``pred`` hold ``part``
-    on the full ring of its ground's ranks, ``count`` the size of each block
-    and ``rank`` is :func:`_rank` of the ground.  A layer is unlinked, its
+    """The peel layers of the partition ``blocks`` of the sorted ground
+    ``ts`` in the kernel's form ``(step, singletons, side_points, side,
+    unlinked)``: two sets of ranks, and the ranks in the order they were
+    unlinked.  The blocks may come in any order and either representative
+    of each pair.  ``key``, ``succ`` and ``pred`` hold them on the full ring
+    of the ground's ranks, ``count`` the size of each block and ``rank`` is
+    :func:`_rank` of the ground.  A layer is unlinked, its
     keys set to -1 and its labels' counts lowered before it is yielded, so an
     exhausted generator leaves the core and its counts.  Only the first
     layer is a full scan: the next one holds only the last alive member of a
     label whose count fell to 1, found by one scan of its block, and the
     neighbour whose link now skips a removed run, which may be a side point.
     """
-    ts, blocks = part.ground, part.blocks
     r = len(ts)
     link, seam = (succ, pred) if side is Side.LEFT else (pred, succ)
     linked = key[1:] + key[:1] if side is Side.LEFT else key[-1:] + key[:-1]  # key[link[i]]
@@ -213,13 +218,13 @@ def peel_step(part: SignedPartition, side: Side, step: int = 1) -> tuple[PeelLay
     Removal always acts on +x and -x together, so the remainder is again a
     valid symmetric partition without zero-block.
     """
-    ts = part.ground
+    ts, blocks = part.ground, part.blocks
     rank = _rank(ts)
-    key = _key(part.blocks, ts, rank)
-    layer = next(_layers(part, key, *_ring(len(ts)), [*map(len, part.blocks)], side, rank), None)
+    key = _key(blocks, ts, rank)
+    layer = next(_layers(ts, blocks, key, *_ring(len(ts)), [*map(len, blocks)], side, rank), None)
     if layer is None:
         raise AlreadyCoreError(f"{_clip(str(part))} has no singleton or adjacency pairs")
-    return _peel_layer(ts, step, layer), _stage(ts, key, len(part.blocks))
+    return _peel_layer(ts, step, layer), _stage(ts, key, len(blocks))
 
 
 def peel(part: SignedPartition, side: Side) -> PeelTrace:
@@ -228,13 +233,12 @@ def peel(part: SignedPartition, side: Side) -> PeelTrace:
     A core input yields an empty layer list.  Each step strictly shrinks the
     ground set, so at most r steps occur; the core may be empty.
     """
-    ts = part.ground
+    ts, blocks = part.ground, part.blocks
     rank = _rank(ts)
-    key = _key(part.blocks, ts, rank)
-    count = [*map(len, part.blocks)]
-    layers = tuple(
-        _peel_layer(ts, x[0], x) for x in _layers(part, key, *_ring(len(ts)), count, side, rank)
-    )
+    key = _key(blocks, ts, rank)
+    count = [*map(len, blocks)]
+    kernel = _layers(ts, blocks, key, *_ring(len(ts)), count, side, rank)
+    layers = tuple(_peel_layer(ts, x[0], x) for x in kernel)
     return PeelTrace(layers, _stage(ts, key, len(count)), ts)
 
 
@@ -489,18 +493,20 @@ def trace_stages(trace: PeelTrace) -> tuple[SignedPartition, ...]:
     return tuple(reversed(stages))
 
 
-def _swap(part: SignedPartition, side: Side) -> tuple[list[int], int]:
-    """Peel ``part`` on ``side`` and patch it back on the other side, handing
-    the peeled layers, keys, label counts and ring straight to the patch.
-    ``part`` must have the full ground {1..n}.  Return the final keys on its
-    ranks and a bound on their labels.  A partition that is its own core
+def _swap(
+    ts: Sequence[int], blocks: Sequence[Sequence[int]], key: list[int], side: Side
+) -> tuple[list[int], int]:
+    """Peel the partition ``blocks`` of the ground ``ts`` = (1, ..., n) on
+    ``side`` and patch it back on the other side, handing the peeled layers,
+    keys, label counts and ring straight to the patch.  The blocks may come
+    in any order and either representative of each pair; ``key`` is
+    :func:`~bpartitions.core._key` of them, with every key set, and the
+    kernel works on it in place.  Return the final keys on the ranks of
+    ``ts`` and a bound on their labels.  A partition that is its own core
     takes the same path: it peels into no layers, and the patch hands its
     own keys back."""
-    require_full_ground(part)
-    ts = part.ground
-    rank = _rank(ts)
-    key, count, (succ, pred) = _key(part.blocks, ts, rank), [*map(len, part.blocks)], _ring(len(ts))
-    layers = list(_layers(part, key, succ, pred, count, side, rank))
+    count, (succ, pred) = [*map(len, blocks)], _ring(len(ts))
+    layers = list(_layers(ts, blocks, key, succ, pred, count, side, _PRECEDING))
     _unfold(ts, key, succ, pred, count, reversed(layers), side.opposite)
     return key, len(count)
 
@@ -511,12 +517,16 @@ def psi(part: SignedPartition) -> SignedPartition:
     Defined on partitions with full ground {1..n}; the image has the input's
     adjacency count as its singleton count and vice versa.
     """
-    return _materialize(part.ground, *_swap(part, Side.LEFT))
+    require_full_ground(part)
+    ts, blocks = part.ground, part.blocks
+    return _materialize(ts, *_swap(ts, blocks, _key(blocks, ts, _PRECEDING), Side.LEFT))
 
 
 def psi_inverse(part: SignedPartition) -> SignedPartition:
     """Inverse of :func:`psi`: peel right points, patch back on the left."""
-    return _materialize(part.ground, *_swap(part, Side.RIGHT))
+    require_full_ground(part)
+    ts, blocks = part.ground, part.blocks
+    return _materialize(ts, *_swap(ts, blocks, _key(blocks, ts, _PRECEDING), Side.RIGHT))
 
 
 def involution(part: SignedPartition) -> SignedPartition:
@@ -529,5 +539,7 @@ def involution(part: SignedPartition) -> SignedPartition:
     keys are psi's keys reversed; a partition built from them in rank order
     is the canonical complement, with no second pass over psi's image.
     """
-    key, labels = _swap(part, Side.LEFT)
-    return _materialize(part.ground, key[::-1], labels)
+    require_full_ground(part)
+    ts, blocks = part.ground, part.blocks
+    key, labels = _swap(ts, blocks, _key(blocks, ts, _PRECEDING), Side.LEFT)
+    return _materialize(ts, key[::-1], labels)

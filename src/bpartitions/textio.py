@@ -80,7 +80,8 @@ def _scan(s: str) -> list[list[int]] | None:
     ``-?(0|[1-9][0-9]*)`` elements: it refuses a leading zero, a stray sign
     or separator and more digits than int() accepts.  An empty block or a
     zero is refused here, so every line the scanner accepts is one the
-    regex route accepts with the same blocks.
+    regex route accepts with the same blocks.  The map commands' key route
+    relies on that refusal too: a 0 would write the last key.
     """
     compact = s.replace(" / ", "/")
     if compact.translate(_NOT_GRAMMAR):

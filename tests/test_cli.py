@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import bpartitions
-from bpartitions import total_count
+from bpartitions import for_each, involution, psi, psi_inverse, total_count
 from bpartitions.cli import ENUMERATE_LIMIT, VERIFY_LIMIT, run
 from bpartitions.core import InternalInvariantError
 from bpartitions.counting import COUNT_LIMIT, BivariateDistribution
+from bpartitions.textio import parse_partition
 from conftest import BIG, BIG_IMAGE, BIG_MIRROR, BIG_MIRROR_IMAGE
 
 
@@ -101,6 +103,86 @@ class TestTransforms:
         code, _, err = invoke(capsys, "psi", "1,2", "--stdin")
         assert code == 1
         assert "usage error" in err
+
+
+MAPS = {"psi": psi, "psi-inv": psi_inverse, "involution": involution}
+
+
+def _scrambled(part, rng):
+    """The line of ``part`` with its blocks and members shuffled and each
+    representative flipped at random, spaced as the package prints it."""
+    blocks = [[-m for m in b] if rng.random() < 0.5 else b for b in map(list, part.blocks)]
+    for b in blocks:
+        rng.shuffle(b)
+    rng.shuffle(blocks)
+    return " / ".join(",".join(map(str, b)) for b in blocks) if blocks else "()"
+
+
+class TestKeyRoute:
+    """psi, psi-inv and involution take a line from text to keys and back;
+    a line that route refuses takes the library route, whose images, errors
+    and exit codes are pinned here."""
+
+    def test_scrambled_lines_match_the_library_route(self, capsys, monkeypatch):
+        rng = random.Random(28)
+        lines = []
+        for n in range(7):
+            for_each(n, lambda part: lines.append(_scrambled(part, rng)))
+        assert len(lines) == 1861
+        assert sum(line != str(parse_partition(line)) for line in lines) > 1700
+        fallbacks = []
+
+        def counted(text):
+            fallbacks.append(text)
+            return parse_partition(text)
+
+        monkeypatch.setattr("bpartitions.cli.parse_partition", counted)
+        for cmd, fn in MAPS.items():
+            monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{t}\n" for t in lines)))
+            code, out, err = invoke(capsys, cmd, "--stdin")
+            assert (code, err) == (0, "")
+            assert out.splitlines() == [str(fn(parse_partition(line))) for line in lines]
+        # the scanner refuses only V_0's "()"; every other line took the keys
+        assert fallbacks == ["()"] * 3
+
+    # lines that map: the first three take the key route, and the rest
+    # ("()", other spacing, a Unicode minus, a leading zero) the library route
+    ACCEPTED = ["1 / 2 / 3", "2,-1 / 3", "1,-3 / 2", "()", "1 , 2", "1,\u22122 / 3", "1 / 02"]
+    IMAGES = {
+        "psi": "1,2,3\n1,-2,-3\n1,2,-3\n()\n1 / 2\n1,-2,-3\n1,2\n",
+        "psi-inv": "1,2,3\n1,-2,3\n1,-2,-3\n()\n1 / 2\n1,-2,3\n1,2\n",
+        "involution": "1,2,3\n1,2,-3\n1,-2,-3\n()\n1 / 2\n1,2,-3\n1,2\n",
+    }
+    NOT_FULL = "error: ground of 2 elements is not the full set 1..2; first difference at index 1:"
+
+    @pytest.mark.parametrize("command", sorted(MAPS))
+    @pytest.mark.parametrize(
+        "line, err",
+        [
+            ("1,2 / 2", "error: |2| occurs in more than one block\n"),
+            ("1,-1 / 2", "error: block contains both 1 and -1\n"),
+            ("1,3", f"{NOT_FULL} 3 vs 2\n"),
+            ("1 / 5", f"{NOT_FULL} 5 vs 2\n"),
+            ("1,0 / 2", "error: elements must be nonzero (at offset 2)\n"),
+            (f"1 / {'9' * 4000}", f"{NOT_FULL} a 13288-bit number vs 2\n"),
+        ],
+        ids=["repeat", "pair", "beyond", "sparse", "zero", "huge"],
+    )
+    def test_refused_lines_keep_their_output(self, capsys, monkeypatch, command, line, err):
+        stream = "".join(f"{t}\n" for t in [*self.ACCEPTED, line, "1 / 2"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+        assert invoke(capsys, command, "--stdin") == (2, self.IMAGES[command], err)
+
+    @pytest.mark.parametrize("command", sorted(MAPS))
+    def test_forced_ground_other_than_the_members(self, capsys, monkeypatch, command):
+        err = (
+            "error: ground of 2 elements is not the full set 1..3; "
+            "first difference at index 2: end vs 3\n"
+        )
+        assert invoke(capsys, command, "1 / 2", "--n", "3") == (2, "", err)
+        monkeypatch.setattr("sys.stdin", io.StringIO("2,-1 / 3\n1 / 2\n"))
+        first = self.IMAGES[command].splitlines()[1]
+        assert invoke(capsys, command, "--stdin", "--n", "3") == (2, f"{first}\n", err)
 
 
 class TestTrace:
@@ -433,19 +515,20 @@ class TestExitCodes:
         assert err.startswith("usage error: argument --n: invalid int value: '999")
         assert len(err) < 200
 
+    # psi "1 / 2" runs the kernel entry on its keys, with no partition built
     def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
-        def broken(part):
+        def broken(ground, blocks, key, side):
             raise ValueError("bug inside psi")
 
-        monkeypatch.setattr("bpartitions.cli.psi", broken)
+        monkeypatch.setattr("bpartitions.cli._swap", broken)
         with pytest.raises(ValueError, match="bug inside psi"):
             run(["psi", "1 / 2"])
 
     def test_internal_invariant_error_exits_3(self, capsys, monkeypatch):
-        def broken(part):
+        def broken(ground, blocks, key, side):
             raise InternalInvariantError("sabotaged")
 
-        monkeypatch.setattr("bpartitions.cli.psi", broken)
+        monkeypatch.setattr("bpartitions.cli._swap", broken)
         assert invoke(capsys, "psi", "1 / 2") == (3, "", "internal invariant violated: sabotaged\n")
 
     def test_help_exits_zero(self, capsys):

@@ -106,8 +106,21 @@ class SignedPartition:
     ground: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
 
+    def __init__(self, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
+        # dataclass keeps an __init__ the class defines, and generates the rest
+        _set_ground(self, ground)
+        _set_blocks(self, blocks)
+
     def __str__(self) -> str:
         return _text(self.blocks)
+
+
+# The generated __init__ of a frozen dataclass stores each field through
+# object.__setattr__; the slot's member descriptor stores it directly, at
+# about two thirds of the cost (260 against 387 ns for two fields).  Pickling
+# and dataclasses.replace go through the slots and __init__ as before.
+_set_ground = SignedPartition.ground.__set__
+_set_blocks = SignedPartition.blocks.__set__
 
 
 def _text(blocks: Sequence[Sequence[int]]) -> str:
@@ -166,13 +179,16 @@ def _groups(us: Iterable[int], key: list[int], labels: int) -> list[list[int]]:
     return blocks
 
 
+def _representatives(groups: Iterable[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The canonical blocks of the canonically ordered ``groups``: each
+    group, negated when its first member is negative."""
+    return tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in groups])
+
+
 def _materialize(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
     """The canonical partition with the keys ``key`` on the sorted ``us``;
     see :func:`_groups`."""
-    return SignedPartition(
-        tuple(us),
-        tuple([tuple(b) if b[0] > 0 else tuple([-m for m in b]) for b in _groups(us, key, labels)]),
-    )
+    return SignedPartition(tuple(us), _representatives(_groups(us, key, labels)))
 
 
 def _key_text(us: Iterable[int], key: list[int], labels: int) -> str:
@@ -319,6 +335,22 @@ class Statistics:
     adjacencies: int
     singleton_elements: tuple[int, ...]
     adjacency_positions: tuple[int, ...]
+
+    def __init__(
+        self, singletons: int, adjacencies: int, singleton_elements: tuple[int, ...],
+        adjacency_positions: tuple[int, ...],
+    ) -> None:
+        # stored through the slots, as SignedPartition stores its fields
+        _set_singletons(self, singletons)
+        _set_adjacencies(self, adjacencies)
+        _set_singleton_elements(self, singleton_elements)
+        _set_adjacency_positions(self, adjacency_positions)
+
+
+_set_singletons = Statistics.singletons.__set__
+_set_adjacencies = Statistics.adjacencies.__set__
+_set_singleton_elements = Statistics.singleton_elements.__set__
+_set_adjacency_positions = Statistics.adjacency_positions.__set__
 
 
 def statistics(part: SignedPartition) -> Statistics:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -72,6 +72,7 @@ from .core import (
     _key,
     _materialize,
     _rank,
+    _representatives,
     require_full_ground,
 )
 
@@ -111,6 +112,21 @@ class PeelLayer:
     side_points: frozenset[int]
     side: Side
 
+    def __init__(
+        self, step: int, singletons: frozenset[int], side_points: frozenset[int], side: Side
+    ) -> None:
+        # stored through the slots, as core.SignedPartition stores its fields
+        _set_step(self, step)
+        _set_singletons(self, singletons)
+        _set_side_points(self, side_points)
+        _set_side(self, side)
+
+
+_set_step = PeelLayer.step.__set__
+_set_singletons = PeelLayer.singletons.__set__
+_set_side_points = PeelLayer.side_points.__set__
+_set_side = PeelLayer.side.__set__
+
 
 @dataclass(frozen=True, slots=True)
 class PeelTrace:
@@ -120,9 +136,18 @@ class PeelTrace:
     core: SignedPartition
     original_ground: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, layers: tuple[PeelLayer, ...], core: SignedPartition, original_ground: Iterable[int]
+    ) -> None:
+        _set_layers(self, layers)
+        _set_core(self, core)
         # stored sorted, as make_partition and patch_step store a ground
-        object.__setattr__(self, "original_ground", tuple(sorted(self.original_ground)))
+        _set_original_ground(self, tuple(sorted(original_ground)))
+
+
+_set_layers = PeelTrace.layers.__set__
+_set_core = PeelTrace.core.__set__
+_set_original_ground = PeelTrace.original_ground.__set__
 
 
 def _clip(text: str) -> str:
@@ -142,9 +167,25 @@ def _ring(r: int) -> tuple[list[int], list[int]]:
 
 
 def _stage(us: Sequence[int], key: list[int], labels: int) -> SignedPartition:
-    """The canonical partition of the stage: the ranks of ``us`` with a key."""
-    keep = [k >= 0 for k in key]
-    return _materialize(list(compress(us, keep)), list(compress(key, keep)), labels)
+    """The canonical partition of the stage: the ranks of ``us`` with a key.
+
+    One pass skips the ranks with key -1, collects the ground and groups the
+    members by label, as :func:`~bpartitions.core._groups` groups a full set
+    of keys.  The -1 test stays out of ``_groups``, which the map commands
+    run on every line, where that branch cost it 5-10%.
+    """
+    by_label: list[list[int] | None] = [None] * labels
+    ground, groups = [], []
+    for t, k in zip(us, key):
+        if k < 0:
+            continue
+        ground.append(t)
+        group = by_label[k >> 1]
+        if group is None:
+            group = by_label[k >> 1] = []
+            groups.append(group)
+        group.append(t if k & 1 else -t)
+    return SignedPartition(tuple(ground), _representatives(groups))
 
 
 def _layers(

@@ -14,14 +14,23 @@ keeps no per-partition state beyond one batch: its table, histogram and
 leaf-count table take O(n^2) space, plus ``CHUNK`` visits, whatever |V_n| is.
 
 A worker buffers the visits it inspects into batches of ``CHUNK`` and runs
-each check over a whole batch before the next check starts.  Inspecting a
-visit calls about a dozen different functions, and in that mix each call cost
-15-115% more than in a loop of its own (on V_6, 157 us a visit against 114
-us); loading ``psi`` and ``trace_stages`` from two copies of the package did
-not help, so the cost is the CPU's instruction cache and branch predictors.
-One check at a time over a batch keeps each one's code hot, as buffering
-between database operators does (Zhou and Ross, SIGMOD 2004).  A witness is
-the failing visit with the smallest index, so the batch size never shows.
+one call at a time over a whole batch, each peel/patch entry point in a loop
+of its own.  Inspecting a visit calls about a dozen different functions, and
+in that mix each call cost 15-115% more than in a loop of its own (on V_6,
+157 us a visit against 114 us); loading ``psi`` and ``trace_stages`` from two
+copies of the package did not help, so the cost is the CPU's instruction
+cache and branch predictors.  One call at a time over a batch keeps each
+one's code hot, as buffering between database operators does (Zhou and Ross,
+SIGMOD 2004).  So a property that makes two different calls in a row makes
+them in two loops and keeps the first result on the visit.  Over V_1..V_7
+(CPU seconds, best of 3), ``peel`` then ``patch_stages`` took 0.56 in one loop
+and 0.20 + 0.25 in two, ``trace_stages`` then the stage statistics 0.46
+against 0.23 + 0.13, and ``complement`` then ``involution`` 0.29 against
+0.04 + 0.21.  A visit whose call raises drops out of its property's later
+loops, so the witness still names the first call to fail.  The round trip's
+three calls stay in one loop: they share one kernel entry, and splitting them
+measured level.  A witness is the failing visit with the smallest index, so
+the batch size never shows.
 
 A sweep can be split across W processes by visit index: every worker walks
 all of V_n, which costs well under a microsecond a leaf, and inspects only the
@@ -75,13 +84,13 @@ class Report:
 class _Visit:
     """One inspected visit, and the results its checks hand on to later ones."""
 
-    __slots__ = ("index", "part", "text", "st", "trace", "forward", "ist")
+    __slots__ = ("index", "part", "text", "st", "trace", "forward", "ist", "mirrored", "rebuilt")
 
     def __init__(self, index: int, part):
         self.index = index  # its place in the walk's order
         self.part = part
         self.text = str(part)
-        self.st = self.trace = self.forward = self.ist = None
+        self.st = self.trace = self.forward = self.ist = self.mirrored = self.rebuilt = None
 
 
 class _Accumulator:
@@ -135,7 +144,7 @@ def _expect(ok: bool, detail: str = "") -> None:
 
 
 def _inspect_batch(batch: list[tuple], acc: _Accumulator) -> None:
-    """Run each check over every visit of ``batch``, in visit order, before the next."""
+    """Run each call over every visit of ``batch``, in visit order, before the next."""
     n = acc.n
     visits = []  # without statistics a visit tabulates nothing and checks no further
     for index, part in batch:
@@ -178,10 +187,17 @@ def _inspect_batch(batch: list[tuple], acc: _Accumulator) -> None:
             _expect(twice == part, "double complement differs")
 
     # The trace and its patch stages are the input of every remaining property.
-    traced = []
+    # A visit whose call raises drops out of its properties' later loops, so
+    # each keeps the witness that names the first call to fail.
+    peeled = []
     for v in visits:
         with acc.charge(v, *PER_PARTITION_PROPERTIES[3:]):
             v.trace = _call("peel", peel, v.part, Side.LEFT)
+            peeled.append(v)
+
+    traced = []
+    for v in peeled:
+        with acc.charge(v, *PER_PARTITION_PROPERTIES[3:]):
             v.forward = _call("patch_stages", patch_stages, v.trace, Side.RIGHT)
             traced.append(v)
 
@@ -198,19 +214,29 @@ def _inspect_batch(batch: list[tuple], acc: _Accumulator) -> None:
             _expect(_call("psi_inverse", psi_inverse, v.forward[-1]) == part)
             _expect(_call("psi", psi, _call("psi_inverse", psi_inverse, part)) == part)
 
+    mirrored = []
     for v in traced:
         with acc.charge(v, "involution"):
-            mirrored = _call("complement", complement, v.forward[-1], n)
-            _expect(_call("involution", involution, mirrored) == v.part)
+            v.mirrored = _call("complement", complement, v.forward[-1], n)
+            mirrored.append(v)
 
+    for v in mirrored:
+        with acc.charge(v, "involution"):
+            _expect(_call("involution", involution, v.mirrored) == v.part)
+
+    rebuilt = []
     for v in traced:
-        forward = v.forward
         with acc.charge(v, "per-stage-swap"):
-            rebuilt = _call("trace_stages", trace_stages, v.trace)
-            _expect(rebuilt[0] == v.part, "trace does not rebuild its input")
-            # Each stage's statistics once, by identity: rebuilt[0] equals the
-            # input, forward[k] is the image, and forward[0] is rebuilt[k], the core.
-            known = {id(rebuilt[0]): v.st}
+            v.rebuilt = _call("trace_stages", trace_stages, v.trace)
+            rebuilt.append(v)
+
+    for v in rebuilt:
+        forward, stages = v.forward, v.rebuilt
+        with acc.charge(v, "per-stage-swap"):
+            _expect(stages[0] == v.part, "trace does not rebuild its input")
+            # Each stage's statistics once, by identity: stages[0] equals the
+            # input, forward[k] is the image, and forward[0] is stages[k], the core.
+            known = {id(stages[0]): v.st}
             if v.ist is not None:
                 known[id(forward[-1])] = v.ist
 
@@ -222,7 +248,7 @@ def _inspect_batch(batch: list[tuple], acc: _Accumulator) -> None:
             k = len(v.trace.layers)
             for idx in range(k + 1):
                 a = stage_statistics(forward[idx])
-                b = stage_statistics(rebuilt[k - idx])
+                b = stage_statistics(stages[k - idx])
                 if (a.singletons, a.adjacencies) != (b.adjacencies, b.singletons):
                     raise InternalInvariantError(f"stage {k - idx}")
 

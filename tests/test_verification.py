@@ -13,6 +13,7 @@ from bpartitions import (
     psi,
     total_count,
 )
+from bpartitions.peelpatch import Side, peel
 from bpartitions.cli import run
 from bpartitions.verification import Report, iter_suite, sweep
 
@@ -363,6 +364,13 @@ PEEL_PROPERTIES = {"psi-statistic-swap", "psi-round-trip", "involution", "per-st
         ("peel", PEEL_PROPERTIES),
         ("psi", {"psi-round-trip"}),
         ("involution", {"involution"}),
+        # complement-involution mirrors the input, involution the image
+        ("complement", {"complement-involution", "involution"}),
+        ("parse_partition", {"textio-roundtrip"}),
+        ("rank", {"no-duplicates"}),
+        ("adjacency_pairs", {"validity"}),
+        # psi-statistic-swap validates the image of psi
+        ("validate", {"validity", "psi-statistic-swap"}),
     ],
 )
 def test_an_exception_is_charged_to_the_property_that_raised(monkeypatch, call, charged):
@@ -374,6 +382,81 @@ def test_an_exception_is_charged_to_the_property_that_raised(monkeypatch, call, 
     assert set(failed) == charged
     for detail in failed.values():
         assert f"{call} raised RuntimeError: sabotaged" in detail
+
+
+def _fail_peel(order):
+    # peel raises on the chosen visit; patch_stages would then be handed the
+    # trace that visit never got
+    chosen = order[20]
+    real_peel, real_patch = verification.peel, verification.patch_stages
+
+    def broken(part, side):
+        if part == chosen:
+            raise RuntimeError("sabotaged")
+        return real_peel(part, side)
+
+    def watched(trace, attach):
+        later.append(trace)
+        return real_patch(trace, attach)
+
+    later = []
+    return chosen, "peel", PEEL_PROPERTIES, {"peel": broken, "patch_stages": watched}, later
+
+
+def _fail_trace_stages(order):
+    # trace_stages raises on the chosen visit; comparing its stages with the
+    # patch stages would then read stages that were never built
+    chosen = order[20]
+    real = verification.trace_stages
+
+    def broken(trace):
+        stages = real(trace)
+        if stages[0] == chosen:
+            raise RuntimeError("sabotaged")
+        return stages
+
+    # the comparison makes no call of its own that could be watched
+    return chosen, "trace_stages", {"per-stage-swap"}, {"trace_stages": broken}, None
+
+
+def _fail_complement(order):
+    # complement raises on the image of the chosen visit; involution would
+    # then return a wrong partition for the mirror that was never built
+    chosen = order[20]
+    image = psi(chosen)
+    real_complement, real_involution = verification.complement, verification.involution
+
+    def broken(part, n):
+        if part == image:
+            raise RuntimeError("sabotaged")
+        return real_complement(part, n)
+
+    def watched(part):
+        later.append(part)
+        return image if part is None else real_involution(part)
+
+    later = []
+    calls = {"complement": broken, "involution": watched}
+    return chosen, "complement", {"involution"}, calls, later
+
+
+@pytest.mark.parametrize("sabotage", [_fail_peel, _fail_trace_stages, _fail_complement])
+def test_a_failed_call_keeps_its_witness(monkeypatch, sabotage):
+    # A property that makes several calls in a row charges the first one to
+    # fail, and makes no later call on that visit: the witness names the
+    # first call, and a watched later call runs on a real result of every
+    # other visit and never on the failed visit's missing one.
+    order = []
+    for_each(4, order.append)
+    chosen, first, props, calls, later = sabotage(order)
+    assert chosen != psi(chosen) and peel(chosen, Side.LEFT).layers
+    for name, fn in calls.items():
+        monkeypatch.setattr(verification, name, fn)
+    witnesses = sweep(4).witnesses
+    for prop in props:
+        assert witnesses[prop] == f"witness {chosen} ({first} raised RuntimeError: sabotaged)"
+    if later is not None:
+        assert None not in later and len(later) == len(order) - 1
 
 
 def test_rejects_bad_max_n():

@@ -6,17 +6,17 @@ violation (a guaranteed property failed, which is always a bug), and 141
 the reader of standard output closed it early, as ``| head -1`` does; the
 rest of the output is dropped and nothing is written to standard error.
 
-``psi``, ``psi-inv`` and ``involution`` take each line from text to keys and
-back, with no partition built on either side: the JSON scanner route of
-``textio`` reads the blocks, ``core._key`` fills their keys on {1..r} for r
-members, the peel/patch kernel runs on those keys, and the final keys are
-printed as canonical text.  A member beyond r makes ``_key`` raise
-IndexError, and a repeated absolute value leaves a key unset, so neither
-needs the canonical form to be found.  Any line this route refuses takes
-the library route instead, which parses the line into a partition, maps it
-and prints the image, and so gives every error its message and exit code:
-a line the scanner refuses (other spacing, ``()``, a leading zero, a Unicode
-minus), a member beyond r, a repeat, or a ``--n`` other than r.
+``psi``, ``psi-inv`` and ``involution`` take every line by one route, from
+text to keys and back, with no partition built on either side: ``textio``
+reads the blocks, ``core._key`` fills their keys on {1..r} for r members,
+the peel/patch kernel runs on those keys, and the final keys are printed as
+canonical text.  A member beyond r makes ``_key`` raise IndexError, and a
+repeated absolute value leaves a key unset, so neither needs the canonical
+form to be found.  Such a line is no member of V_r, nor is a line held to a
+``--n`` other than r a member of V_n, and only for these is a partition
+built: ``make_partition`` of the blocks raises for a repeat and
+``require_full_ground`` for the rest, so each keeps the message and exit
+code that ``parse_partition`` and the library maps give it.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from .core import (
     _PRECEDING,
     InternalInvariantError,
     PartitionError,
-    SignedPartition,
     _key,
     _key_text,
     _short,
+    _text,
     adjacency_pairs,
     complement,
+    make_partition,
     require_full_ground,
     statistics,
 )
@@ -50,8 +51,8 @@ from .counting import (
     total_count,
 )
 from .enumeration import for_each, walk
-from .peelpatch import Side, _swap, involution, peel, psi, psi_inverse
-from .textio import _scan, format_patch_stages, format_trace, parse_partition, set_text
+from .peelpatch import Side, _swap, peel
+from .textio import _blocks, format_patch_stages, format_trace, parse_partition, set_text
 from .verification import iter_suite
 
 
@@ -180,39 +181,34 @@ def _texts(ns):
         raise _UsageError(f"stdin is not text: {exc}") from None
 
 
-def _partition(text: str, n: int | None) -> SignedPartition:
-    """Parse ``text`` and hold it to ``--n`` when given."""
-    part = parse_partition(text)
-    # A huge --n is refused without building 1..n: the message compares at
-    # most size + 1 of its elements and gives n by its bit length.
-    if n is not None:
-        require_full_ground(part, n)
-    return part
-
-
 def _partitions(ns):
-    """Each partition of :func:`_texts`, held to ``--n``."""
+    """Each partition of :func:`_texts`, held to ``--n`` when given."""
     for text in _texts(ns):
-        yield _partition(text, ns.n)
+        part = parse_partition(text)
+        # A huge --n is refused without building 1..n: the message compares
+        # at most size + 1 of its elements and gives n by its bit length.
+        if ns.n is not None:
+            require_full_ground(part, ns.n)
+        yield part
 
 
-def _mapped(text: str, n: int | None, side: Side, mirror: bool) -> str | None:
+def _mapped(text: str, n: int | None, side: Side, mirror: bool) -> str:
     """The image of ``text`` under the kernel map that peels on ``side``,
-    its keys reversed when ``mirror``, printed from the keys; None when the
-    key route refuses the line.  It relies on the scanner refusing a 0,
-    which would write the last key."""
-    blocks = _scan(text)
-    if blocks is None:
-        return None
+    its keys reversed when ``mirror``, printed from the keys.  It relies on
+    ``_blocks`` returning no 0, which would write the last key."""
+    blocks = _blocks(text)
     r = sum(map(len, blocks))
-    if n is not None and n != r:
-        return None
     try:
         key = _key(blocks, range(r), _PRECEDING)
-    except IndexError:
-        return None
-    if -1 in key:
-        return None
+    except IndexError:  # a member beyond r
+        key = None
+    if key is None or -1 in key or (n is not None and n != r):
+        # r nonzero members whose absolute values fill 1..r are a member of
+        # V_r, so a refused line has a member beyond r or a repeat, or is
+        # held to another n: make_partition raises for a repeat, and
+        # require_full_ground for the rest, as the library maps would.
+        require_full_ground(make_partition(blocks), n)
+        raise InternalInvariantError(f"the key route refused a member of V_{r}")
     ground = range(1, r + 1)
     key, labels = _swap(ground, blocks, key, side)
     return _key_text(ground, key[::-1] if mirror else key, labels)
@@ -229,12 +225,12 @@ def _cmd_stats(ns) -> int:
     return 0
 
 
-# command -> the library map, the side its kernel run peels on, and whether
-# its keys are mirrored
+# command -> the side its kernel run peels on, and whether its keys are
+# mirrored
 _KERNEL_MAPS = {
-    "psi": (psi, Side.LEFT, False),
-    "psi-inv": (psi_inverse, Side.RIGHT, False),
-    "involution": (involution, Side.LEFT, True),
+    "psi": (Side.LEFT, False),
+    "psi-inv": (Side.RIGHT, False),
+    "involution": (Side.LEFT, True),
 }
 
 
@@ -244,12 +240,9 @@ def _cmd_map(ns) -> int:
         for part in _partitions(ns):
             print(complement(part, len(part.ground)))
         return 0
-    fn, side, mirror = _KERNEL_MAPS[ns.command]
+    side, mirror = _KERNEL_MAPS[ns.command]
     for text in _texts(ns):
-        line = _mapped(text, ns.n, side, mirror)
-        if line is None:
-            line = str(fn(_partition(text, ns.n)))
-        print(line)
+        print(_mapped(text, ns.n, side, mirror))
     return 0
 
 
@@ -282,10 +275,9 @@ def _cmd_enumerate(ns) -> int:
         print(walk(ns.n, lambda blocks, s, a: None))
         return 0
     if ns.stats:
-        ground = tuple(range(1, ns.n + 1))
-
+        # the walk's blocks are canonical, so their text is the partition's
         def leaf(blocks, s, a):
-            print(f"{SignedPartition(ground, tuple(blocks))}\ts={s} a={a}")
+            print(f"{_text(blocks)}\ts={s} a={a}")
 
         walk(ns.n, leaf)
     else:

@@ -52,6 +52,8 @@ def walk(n: int, leaf: Leaf) -> int:
     changes as the walk goes on, its tuples do not.  Returning ``False``
     from ``leaf`` stops the walk.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     blocks: list[tuple[int, ...]] = []
     count = 0
 
@@ -91,8 +93,6 @@ def for_each(n: int, visitor: Visitor) -> int:
     Returning ``False`` aborts the enumeration; any other value continues it.
     ``n = 0`` yields a single visit, the empty partition.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     ground = tuple(range(1, n + 1))
 
     def leaf(blocks: list[tuple[int, ...]], s: int, a: int) -> object:

@@ -52,23 +52,34 @@ def parse_partition(
 ) -> SignedPartition:
     """Parse partition text; the inverse of ``str(part)``.
 
-    A well-formed line spaced as ``str(part)`` spaces it is read by the
-    stdlib JSON scanner, which builds the blocks' int lists in C.  Any line
-    that scanner route refuses is read by one regex match of the whole
-    grammar and splits instead: other spacing, ``()``, an element with a
-    leading zero, non-ASCII digits or more digits than int() accepts, and
-    every malformed line, which is then walked element by
-    element to report its first problem from the left.  A line the scanner
-    reads, the regex route reads to the same blocks, so both routes give
-    the same partitions and errors.  With ``ground`` omitted, the
-    support is inferred from the absolute values present; a given ground is
-    checked as :func:`~bpartitions.core.make_partition` checks it.
+    The blocks of :func:`_blocks`, made canonical.  With ``ground``
+    omitted, the support is inferred from the absolute values present; a
+    given ground is checked as :func:`~bpartitions.core.make_partition`
+    checks it.
+    """
+    return make_partition(_blocks(text), ground)
+
+
+def _blocks(text: str) -> list[list[int]]:
+    """The blocks of partition text, ``[]`` for ``()``; raise the
+    :class:`ParseError` of its first problem from the left if it has one.
+
+    A U+2212 minus sign reads as ``-``.  A well-formed line spaced as
+    ``str(part)`` spaces it is read by the stdlib JSON scanner, which builds
+    the blocks' int lists in C.  Any line that scanner route refuses is read
+    by one regex match of the whole grammar and splits instead: other
+    spacing, ``()``, an element with a leading zero, non-ASCII digits or more
+    digits than int() accepts, and every malformed line, which is then
+    walked element by element to report its problem.  A line the scanner
+    reads, the regex route reads to the same blocks, so both routes give the
+    same blocks and errors.  On either route every block returned is
+    nonempty and every member nonzero.
     """
     s = text.replace(_UNICODE_MINUS, "-")
     blocks = _scan(s)
     if blocks is None:
         blocks = _match(s)
-    return make_partition(blocks, ground)
+    return blocks
 
 
 def _scan(s: str) -> list[list[int]] | None:
@@ -80,8 +91,7 @@ def _scan(s: str) -> list[list[int]] | None:
     ``-?(0|[1-9][0-9]*)`` elements: it refuses a leading zero, a stray sign
     or separator and more digits than int() accepts.  An empty block or a
     zero is refused here, so every line the scanner accepts is one the
-    regex route accepts with the same blocks.  The map commands' key route
-    relies on that refusal too: a 0 would write the last key.
+    regex route accepts with the same blocks.
     """
     compact = s.replace(" / ", "/")
     if compact.translate(_NOT_GRAMMAR):

@@ -1,6 +1,10 @@
-"""Shared fixtures: the size-12 worked example and a partition strategy."""
+"""Shared fixtures: the size-12 worked example, a partition strategy and a
+Stirling oracle."""
 
 from __future__ import annotations
+
+from itertools import product
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -50,6 +54,15 @@ PATCH_LEFT_ROWS = [
     (2, set(), {1}, "3,10 / 5,-7 / 6,-9"),
     (1, {11, 12}, {2, 4, 8}, "1 / 3,10 / 5,-7 / 6,-9"),
 ]
+
+
+def brute_stirling(k: int, j: int) -> int:
+    """Stirling oracle, independent of the recurrence: the surjections of
+    {1..k} onto j block indices, divided by the j! orders of the blocks."""
+    if j == 0:
+        return 1 if k == 0 else 0
+    hits = sum(1 for a in product(range(j), repeat=k) if len(set(a)) == j)
+    return hits // factorial(j)
 
 
 @pytest.fixture

@@ -119,21 +119,23 @@ def _scrambled(part, rng):
 
 
 class TestKeyRoute:
-    """psi, psi-inv and involution take a line from text to keys and back;
-    a line that route refuses takes the library route, whose images, errors
-    and exit codes are pinned here."""
+    """psi, psi-inv and involution take every line from text to keys and
+    back, however it is spelt; a line that is no member of V_r raises the
+    library's error, and the images, errors and exit codes are pinned here."""
 
-    def test_scrambled_lines_match_the_library_route(self, capsys, monkeypatch):
-        rng = random.Random(28)
+    @staticmethod
+    def _map_spelt(capsys, monkeypatch, spell):
+        """Map ``spell(part)`` for every member of V_0..V_6 with psi, psi-inv
+        and involution, check each image against the library's, and return
+        the lines and the texts that ``cli`` passed to ``parse_partition``."""
         lines = []
         for n in range(7):
-            for_each(n, lambda part: lines.append(_scrambled(part, rng)))
+            for_each(n, lambda part: lines.append(spell(part)))
         assert len(lines) == 1861
-        assert sum(line != str(parse_partition(line)) for line in lines) > 1700
-        fallbacks = []
+        parsed = []
 
         def counted(text):
-            fallbacks.append(text)
+            parsed.append(text)
             return parse_partition(text)
 
         monkeypatch.setattr("bpartitions.cli.parse_partition", counted)
@@ -142,11 +144,28 @@ class TestKeyRoute:
             code, out, err = invoke(capsys, cmd, "--stdin")
             assert (code, err) == (0, "")
             assert out.splitlines() == [str(fn(parse_partition(line))) for line in lines]
-        # the scanner refuses only V_0's "()"; every other line took the keys
-        assert fallbacks == ["()"] * 3
+        return lines, parsed
 
-    # lines that map: the first three take the key route, and the rest
-    # ("()", other spacing, a Unicode minus, a leading zero) the library route
+    def test_scrambled_lines_match_the_library_route(self, capsys, monkeypatch):
+        rng = random.Random(28)
+        lines, fallbacks = self._map_spelt(capsys, monkeypatch, lambda p: _scrambled(p, rng))
+        assert sum(line != str(parse_partition(line)) for line in lines) > 1700
+        # every line took the keys, V_0's "()" included
+        assert fallbacks == []
+
+    def test_every_spelling_takes_the_key_route(self, capsys, monkeypatch):
+        def loose(part):
+            """The line of ``part`` with spaces around every separator, a
+            Unicode minus for every minus and a leading zero on every element."""
+            if not part.blocks:
+                return " ( ) "
+            elements = [[f"{chr(0x2212) * (m < 0)}0{abs(m)}" for m in b] for b in part.blocks]
+            return " / ".join(" , ".join(b) for b in elements)
+
+        assert self._map_spelt(capsys, monkeypatch, loose)[1] == []
+
+    # lines that map, each by the key route: three spaced as printed, then
+    # "()", other spacing, a Unicode minus and a leading zero
     ACCEPTED = ["1 / 2 / 3", "2,-1 / 3", "1,-3 / 2", "()", "1 , 2", "1,\u22122 / 3", "1 / 02"]
     IMAGES = {
         "psi": "1,2,3\n1,-2,-3\n1,2,-3\n()\n1 / 2\n1,-2,-3\n1,2\n",
@@ -172,6 +191,13 @@ class TestKeyRoute:
         stream = "".join(f"{t}\n" for t in [*self.ACCEPTED, line, "1 / 2"])
         monkeypatch.setattr("sys.stdin", io.StringIO(stream))
         assert invoke(capsys, command, "--stdin") == (2, self.IMAGES[command], err)
+
+    def test_a_refused_line_the_library_accepts_is_a_bug(self, capsys, monkeypatch):
+        # "1,3" is refused for its member beyond r = 2; were the library to
+        # accept it, the kernel must not run on keys with one unset
+        monkeypatch.setattr("bpartitions.cli.require_full_ground", lambda part, n: n)
+        err = "internal invariant violated: the key route refused a member of V_2\n"
+        assert invoke(capsys, "psi", "1,3") == (3, "", err)
 
     @pytest.mark.parametrize("command", sorted(MAPS))
     def test_forced_ground_other_than_the_members(self, capsys, monkeypatch, command):

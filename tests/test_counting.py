@@ -5,8 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from itertools import product
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -22,14 +21,7 @@ from bpartitions import (
 )
 from bpartitions.counting import _shift, markings, stirling_row
 from bpartitions.enumeration import walk
-
-
-def brute_stirling(k: int, j: int) -> int:
-    """Surjection-counting oracle, independent of the recurrence."""
-    if j == 0:
-        return 1 if k == 0 else 0
-    hits = sum(1 for a in product(range(j), repeat=k) if len(set(a)) == j)
-    return hits // factorial(j)
+from conftest import brute_stirling
 
 
 def egf_convolution(upto: int) -> list[int]:

@@ -8,22 +8,7 @@ import pytest
 
 from bpartitions import counting, for_each, statistics, total_count, validate
 from bpartitions.enumeration import leaf_counts, rank, walk
-
-
-def brute_stirling(k: int, j: int) -> int:
-    """Independent oracle: count set partitions of {1..k} into j blocks by
-    enumerating block-index assignments and discarding non-surjective ones."""
-    if j == 0:
-        return 1 if k == 0 else 0
-    from itertools import product
-    from math import factorial
-
-    hits = sum(
-        1
-        for assign in product(range(j), repeat=k)
-        if len(set(assign)) == j
-    )
-    return hits // factorial(j)
+from conftest import brute_stirling
 
 
 def collect(n):
@@ -83,6 +68,12 @@ class TestForEach:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             for_each(-1, lambda p: None)
+
+    def test_walk_rejects_negative_n_before_any_leaf(self):
+        leaves = []
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            walk(-1, lambda blocks, s, a: leaves.append(blocks))
+        assert leaves == []
 
 
 # Recorded from the walk that kept its blocks as lists: the text of every

@@ -50,7 +50,7 @@ from .counting import (
     singleton_free_ie,
     total_count,
 )
-from .enumeration import for_each, walk
+from .enumeration import walk
 from .peelpatch import Side, _swap, peel
 from .textio import _blocks, format_patch_stages, format_trace, parse_partition, set_text
 from .verification import iter_suite
@@ -274,14 +274,12 @@ def _cmd_enumerate(ns) -> int:
     if ns.quiet:
         print(walk(ns.n, lambda blocks, s, a: None))
         return 0
-    if ns.stats:
-        # the walk's blocks are canonical, so their text is the partition's
-        def leaf(blocks, s, a):
-            print(f"{_text(blocks)}\ts={s} a={a}")
 
-        walk(ns.n, leaf)
-    else:
-        for_each(ns.n, print)
+    # the walk's blocks are canonical, so their text is the partition's
+    def leaf(blocks, s, a):
+        print(f"{_text(blocks)}\ts={s} a={a}" if ns.stats else _text(blocks))
+
+    walk(ns.n, leaf)
     return 0
 
 

@@ -11,8 +11,10 @@ singleton pair and joining a block of size one removes one; (i-1, i) is an
 adjacency pair exactly when i joins the block of i-1 with the same sign, and
 the wrap-around pair (n, 1) exactly when n ends in block 0 with sign +.
 :func:`walk` calls ``leaf(blocks, s, a)`` at every leaf with the live list
-of blocks and the two counts, so a leaf that only counts builds no object.
-A block is kept as a tuple, extended by one element at each placement, so
+of blocks and the two counts, so a leaf that only counts or prints the
+blocks builds no object.  The walk ignores what a leaf returns, so it visits
+every leaf unless one raises, which ends it with that exception.  A block
+is kept as a tuple, extended by one element at each placement, so
 :func:`for_each` builds its :class:`SignedPartition` there with one
 ``tuple(blocks)``.  The leaf order is fixed, so a leaf's visit index names
 it; a parallel sweep splits V_n by that index.
@@ -40,17 +42,13 @@ Visitor = Callable[[SignedPartition], object]
 Leaf = Callable[[list[tuple[int, ...]], int, int], object]
 
 
-class _Stop(Exception):
-    """A leaf returned ``False``; unwinds the walk."""
-
-
 def walk(n: int, leaf: Leaf) -> int:
     """Place elements 1..n in every way; return the leaf count.
 
     ``leaf`` receives the live list of blocks, each a tuple, with the
     singleton and adjacency counts, the wrap-around pair included; the list
-    changes as the walk goes on, its tuples do not.  Returning ``False``
-    from ``leaf`` stops the walk.
+    changes as the walk goes on, its tuples do not.  What ``leaf`` returns
+    is ignored; an exception it raises ends the walk and propagates.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -64,8 +62,7 @@ def walk(n: int, leaf: Leaf) -> int:
             if pb == 0 and ps:
                 a += 1
             count += 1
-            if leaf(blocks, s, a) is False:
-                raise _Stop
+            leaf(blocks, s, a)
             return
         j = i + 1
         blocks.append((i,))
@@ -79,10 +76,7 @@ def walk(n: int, leaf: Leaf) -> int:
             descend(j, t, a + (k == pb and not ps), k, False)
             blocks[k] = b
 
-    try:
-        descend(1, 0, 0, -1, True)
-    except _Stop:
-        pass
+    descend(1, 0, 0, -1, True)
     return count
 
 
@@ -90,13 +84,13 @@ def for_each(n: int, visitor: Visitor) -> int:
     """Visit every partition in V_n exactly once; return the visit count.
 
     The visitor receives a canonical :class:`SignedPartition` it may keep.
-    Returning ``False`` aborts the enumeration; any other value continues it.
-    ``n = 0`` yields a single visit, the empty partition.
+    What it returns is ignored; an exception it raises ends the enumeration
+    and propagates.  ``n = 0`` yields a single visit, the empty partition.
     """
     ground = tuple(range(1, n + 1))
 
-    def leaf(blocks: list[tuple[int, ...]], s: int, a: int) -> object:
-        return visitor(SignedPartition(ground, tuple(blocks)))
+    def leaf(blocks: list[tuple[int, ...]], s: int, a: int) -> None:
+        visitor(SignedPartition(ground, tuple(blocks)))
 
     return walk(n, leaf)
 

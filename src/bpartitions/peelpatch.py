@@ -317,7 +317,10 @@ def patch_step(
     such a layer, so a miss raises the layer's first problem at once.
     """
     trace = PeelTrace((layer,), stage, target_ground)
-    return _materialize(*_unfold_trace(trace, attach, ground_first=True))
+    us = tuple(sorted({*stage.ground, *layer.singletons, *layer.side_points}))
+    if us != trace.original_ground:
+        _check(layer, attach, True)
+    return _materialize(*_unfold_trace(trace, attach))
 
 
 def _anchor_missing(
@@ -450,14 +453,14 @@ def _unfold(
 
 
 def _unfold_trace(
-    trace: PeelTrace, attach: Side | None, stages: list[SignedPartition] | None = None,
-    ground_first: bool = False,
+    trace: PeelTrace, attach: Side | None, stages: list[SignedPartition] | None = None
 ) -> tuple[tuple[int, ...], list[int], int]:
     """Run :func:`_unfold` from the core of ``trace``, appending its stages to
     ``stages`` when given, and return the universe, the final keys and a
     bound on their labels.  The universe is compared with the trace's
-    original ground after the kernel has run, or, with ``ground_first``,
-    before it, where a miss raises the first layer's problem.
+    original ground only after the kernel has run, so a layer's own problem
+    is raised before a ground miss (:func:`patch_step` checks the ground
+    first itself).
 
     Each element is unlinked from the full ring once, at the last layer in
     peel order that holds it, and a core element never; a layer's elements
@@ -474,9 +477,6 @@ def _unfold_trace(
         order.append((x, clash, elements - stage if clash else elements))
         stage |= elements
     us = tuple(sorted(stage))
-    mismatch = us != trace.original_ground
-    if mismatch and ground_first:
-        _check(order[0][0], attach, True)
     rank = _rank(us)
     key, (succ, pred) = _key(core.blocks, us, rank), _ring(len(us))
     unlinked = [list(map(rank, new)) for _, _, new in order]
@@ -492,7 +492,7 @@ def _unfold_trace(
 
     count = [*map(len, core.blocks)]
     _unfold(us, key, succ, pred, count, checked(), attach, stages)
-    if mismatch:
+    if us != trace.original_ground:
         raise GroundMismatchError("trace layers do not rebuild the original ground")
     return us, key, len(count)
 

@@ -2,16 +2,17 @@
 
 For each n, one sweep over V_n accumulates the joint statistic table and the
 block-pair histogram while checking per-partition properties: canonical form,
-text round trip, the complement involution, the peel/patch round trips with
-their statistic swaps, the per-stage swap, and the double application of the
-complement-conjugated map.  Aggregate counts are then reconciled against the
-closed formulas, the closed-form joint table and the generating function.  A
-report passes exactly when its detail is empty.  Any exception raised while a
-visit is inspected is charged to the property whose check raised it, and the
-witness names the failing call.  ``no-duplicates`` holds when every
-partition's rank in the walk's order equals its visit index, so a worker
-keeps no per-partition state beyond one batch: its table, histogram and
-leaf-count table take O(n^2) space, plus ``CHUNK`` visits, whatever |V_n| is.
+text round trip, the complement involution with its canonical image, the
+peel/patch round trips with their statistic swaps, the per-stage swap, and
+the double application of the complement-conjugated map.  Aggregate counts
+are then reconciled against the closed formulas, the closed-form joint table
+and the generating function.  A report passes exactly when its detail is
+empty.  Any exception raised while a visit is inspected is charged to the
+property whose check raised it, and the witness names the failing call.
+``no-duplicates`` holds when every partition's rank in the walk's order
+equals its visit index, so a worker keeps no per-partition state beyond one
+batch: its table, histogram and leaf-count table take O(n^2) space, plus
+``CHUNK`` visits, whatever |V_n| is.
 
 A worker buffers the visits it inspects into batches of ``CHUNK`` and runs
 one call at a time over a whole batch, each peel/patch entry point in a loop
@@ -180,6 +181,7 @@ def _inspect_batch(batch: list[tuple], acc: _Accumulator) -> None:
         part, st = v.part, v.st
         with acc.charge(v, "complement-involution"):
             mirrored = _call("complement", complement, part, n)
+            _call("validate", validate, mirrored)
             mst = _call("statistics", statistics, mirrored)
             same = (mst.singletons, mst.adjacencies) == (st.singletons, st.adjacencies)
             _expect(same, "statistics changed")

@@ -282,6 +282,13 @@ class TestTrace:
         assert len(out.splitlines()) == 6
 
 
+def _library_text(n):
+    """The text of every partition ``for_each(n)`` visits, a line each."""
+    parts = []
+    for_each(n, parts.append)
+    return "".join(f"{p}\n" for p in parts)
+
+
 class TestEnumerate:
     def test_streams_in_order(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--n", "2")
@@ -300,11 +307,32 @@ class TestEnumerate:
         def fail(*args):
             raise AssertionError("enumerate --quiet built partitions")
 
-        monkeypatch.setattr("bpartitions.cli.for_each", fail)
+        monkeypatch.setattr("bpartitions.enumeration.SignedPartition", fail)
         for n, count in (("5", "257"), ("0", "1")):
             code, out, _ = invoke(capsys, "enumerate", "--n", n, "--quiet")
             assert code == 0
             assert out == count + "\n"
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_mode_prints_the_library_partitions(self, capsys, n):
+        expected = _library_text(n)
+        assert invoke(capsys, "enumerate", "--n", str(n)) == (0, expected, "")
+        code, out, _ = invoke(capsys, "enumerate", "--n", str(n), "--stats")
+        assert code == 0
+        assert "".join(line.split("\t")[0] + "\n" for line in out.splitlines()) == expected
+
+    def test_no_mode_builds_a_partition(self, capsys, monkeypatch):
+        expected = {n: _library_text(n) for n in (0, 5)}
+
+        def fail(*args):
+            raise AssertionError("enumerate built partitions")
+
+        monkeypatch.setattr("bpartitions.enumeration.SignedPartition", fail)
+        for n, text in expected.items():
+            assert invoke(capsys, "enumerate", "--n", str(n)) == (0, text, "")
+            code, out, _ = invoke(capsys, "enumerate", "--n", str(n), "--stats")
+            assert code == 0
+            assert [line.split("\t")[0] for line in out.splitlines()] == text.splitlines()
 
 
 class TestPoly:

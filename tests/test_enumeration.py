@@ -1,4 +1,4 @@
-"""Exhaustive generation: counts, order, running statistics, and early abort."""
+"""Exhaustive generation: counts, order, running statistics, and a raising visitor."""
 
 from __future__ import annotations
 
@@ -54,15 +54,19 @@ class TestForEach:
         count = for_each(6, visit)
         assert len(seen) == count == total_count(6)
 
-    def test_abort_propagates(self):
+    def test_a_raising_visitor_ends_the_walk(self):
+        # what a visitor returns is ignored; an exception it raises ends the
+        # walk and reaches the caller unchanged
+        assert for_each(4, lambda p: False) == 49
         visits = []
 
         def visit(part):
             visits.append(part)
             if len(visits) == 5:
-                return False
+                raise KeyError("stop")
 
-        assert for_each(4, visit) == 5
+        with pytest.raises(KeyError, match="stop"):
+            for_each(4, visit)
         assert len(visits) == 5
 
     def test_negative_n_rejected(self):

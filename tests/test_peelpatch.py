@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import bpartitions.peelpatch as peelpatch
 from bpartitions import (
     AlreadyCoreError,
     AnchorMissingError,
@@ -38,6 +39,7 @@ from bpartitions import (
     trace_stages,
     validate,
 )
+from bpartitions.core import _PRECEDING
 from bpartitions.textio import parse_partition
 from conftest import (
     BIG,
@@ -759,6 +761,24 @@ def test_a_layer_whose_sets_overlap_is_unlinked_once():
     for run in (lambda: patch_stages(trace, Side.LEFT), lambda: trace_stages(trace)):
         with pytest.raises(MalformedLayerError, match="overlap"):
             run()
+
+
+def test_the_peel_refuses_keys_whose_singletons_are_side_points():
+    # No partition reaches this: a block of one has its own label, so it is
+    # never a side point.  Keys that give 200 blocks of one the same label
+    # make every element both, and the peel must refuse them before it
+    # yields a layer, naming the stage those keys hold, elided.
+    n = 200
+    ts, blocks = tuple(range(1, n + 1)), [(t,) for t in range(1, n + 1)]
+    key, count = [1] * n, [1] * n
+    kernel = peelpatch._layers(ts, blocks, key, *peelpatch._ring(n), count, Side.LEFT, _PRECEDING)
+    yielded = []
+    with pytest.raises(InternalInvariantError) as info:
+        yielded.extend(kernel)
+    assert yielded == []
+    message = str(info.value)
+    assert message.startswith("singletons and side points overlap in ")
+    assert len(message) < 200, message
 
 
 def test_sparse_ground_stays_cheap():

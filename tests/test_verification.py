@@ -8,6 +8,7 @@ import bpartitions.verification as verification
 from bpartitions import (
     BivariateDistribution,
     SignedPartition,
+    complement,
     for_each,
     make_partition,
     psi,
@@ -107,19 +108,24 @@ def test_split_sweep_reports_the_first_witness_in_walk_order(monkeypatch, in_pro
     assert first % 3 != 0
 
     # psi-statistic-swap validates the image of psi, so it fails too, first
-    # at the first partition whose image is signed
+    # at the first partition whose image is signed; complement-involution
+    # validates the mirror, first at the first partition whose mirror is
     first_image = next(i for i, p in enumerate(order) if signed(psi(p)))
     assert first_image % 3 != 0
+    first_mirror = next(i for i, p in enumerate(order) if signed(complement(p, 5)))
 
     split, whole = sweep(5, jobs=3), sweep(5, jobs=1)
     assert pools == [3]
     assert split.witnesses == whole.witnesses
-    assert set(whole.witnesses) == {"validity", "psi-statistic-swap"}
+    assert set(whole.witnesses) == {"validity", "psi-statistic-swap", "complement-involution"}
     assert whole.witnesses["validity"] == (
         f"witness {order[first]} (validate raised RuntimeError: sabotaged)"
     )
     assert whole.witnesses["psi-statistic-swap"] == (
         f"witness {order[first_image]} (validate raised RuntimeError: sabotaged)"
+    )
+    assert whole.witnesses["complement-involution"] == (
+        f"witness {order[first_mirror]} (validate raised RuntimeError: sabotaged)"
     )
 
 
@@ -351,6 +357,25 @@ def test_broken_complement_is_caught(monkeypatch):
     assert any(not r.ok for r in reports)
 
 
+def test_a_complement_that_keeps_block_order_is_caught(monkeypatch):
+    # sabotage: complement without reversing each mirrored block, so the
+    # statistics and the double complement still come out right, and only
+    # validating the mirror shows the fault
+    def unreversed(part, n):
+        blocks = [tuple(n + 1 - x if x > 0 else -n - 1 - x for x in b) for b in part.blocks]
+        return SignedPartition(part.ground, tuple(sorted(blocks)))
+
+    monkeypatch.setattr(verification, "complement", unreversed)
+    failed = {(r.n, r.name): r.detail for r in iter_suite(4) if not r.ok}
+    assert failed == {
+        (n, "complement-involution"): (
+            f"witness {' / '.join([f'1,{n}', *map(str, range(2, n))])} (validate raised "
+            f"InternalInvariantError: block ({n}, 1) is not sorted by absolute value)"
+        )
+        for n in (2, 3, 4)
+    }
+
+
 PEEL_PROPERTIES = {"psi-statistic-swap", "psi-round-trip", "involution", "per-stage-swap"}
 
 
@@ -369,8 +394,9 @@ PEEL_PROPERTIES = {"psi-statistic-swap", "psi-round-trip", "involution", "per-st
         ("parse_partition", {"textio-roundtrip"}),
         ("rank", {"no-duplicates"}),
         ("adjacency_pairs", {"validity"}),
-        # psi-statistic-swap validates the image of psi
-        ("validate", {"validity", "psi-statistic-swap"}),
+        # psi-statistic-swap validates the image of psi, and
+        # complement-involution the mirror of the input
+        ("validate", {"validity", "psi-statistic-swap", "complement-involution"}),
     ],
 )
 def test_an_exception_is_charged_to_the_property_that_raised(monkeypatch, call, charged):

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -320,7 +319,7 @@ def patch_step(
     us = tuple(sorted({*stage.ground, *layer.singletons, *layer.side_points}))
     if us != trace.original_ground:
         _check(layer, attach, True)
-    return _materialize(*_unfold_trace(trace, attach))
+    return patch(trace, attach)
 
 
 def _anchor_missing(
@@ -356,40 +355,41 @@ def _unfold(
     re-linking in reverse unlink order restores every link (Knuth's dancing
     links): the ring is again the stage the peel removed the layer from, in
     increasing order, and a run is walked along it from its anchor.
+    Re-linking in unlink order restores it too: on rings of 1 to 7 ranks,
+    either order undoes every removal order of every nonempty set of ranks.
+    So the order within a layer is free, and the reverse one is kept.
 
     Every stage must carry the layer's returning elements as its singleton
     set and the anchored ones as its side points on the attach side, or
     :class:`InternalInvariantError` is raised.  The singletons and the side
     points are kept as whole sets, set by a scan of the first stage when the
-    first layer arrives, so a trace with no layers costs no scan; the
-    points are those of the last layer's side, and move to the other end of
-    their pairs when a layer's side differs.  The sets are compared after
-    every step but updated only at the layer, at the anchors, whose labels
-    grow, and at the pairs of neighbours around a re-linked rank.  That is
-    enough: an untouched element keeps its neighbours, and its label grows
-    only when it shares an anchor's label, so it was no singleton before or
-    after.  So its status cannot change, and the comparison is the one a
-    fresh scan would make.
+    first layer arrives, on that layer's side, so a trace with no layers
+    costs no scan; the points are those of the last layer's side, and move
+    to the other end of their pairs when a layer's side differs.  The sets
+    are compared after every step but updated only at the layer, at the
+    anchors, whose labels grow, and at the pairs of neighbours around a
+    re-linked rank.  That is enough: an untouched element keeps its
+    neighbours, and its label grows only when it shares an anchor's label,
+    so it was no singleton before or after.  So its status cannot change,
+    and the comparison is the one a fresh scan would make.
     """
-    layers = iter(layers)
-    first = next(layers, None)
-    if first is None:
-        return
-    left = current = Side.LEFT
-    points = {i for i, k in enumerate(key) if k >= 0 and k == key[succ[i]]}  # left points
-    singles = set()
-    if 1 in count:
-        singles = {i for i, k in enumerate(key) if k >= 0 and count[k >> 1] == 1}
-    size = len(key) - key.count(-1)
-    for step, singletons, side_points, side, unlinked in chain((first,), layers):
+    current = None
+    for step, singletons, side_points, side, unlinked in layers:
         if attach is None:
             runs, fresh = side_points, singletons
         else:
             runs, fresh, side = singletons, side_points, attach
         # a point i pairs with behind[i]; a run is walked ahead from its anchor
-        ahead, behind = (pred, succ) if side is left else (succ, pred)
-        if side is not current:
-            points, current = set(map(ahead.__getitem__, points)), side
+        ahead, behind = (pred, succ) if side is Side.LEFT else (succ, pred)
+        if current is None:  # the first stage, scanned on this layer's side
+            points = {i for i, k in enumerate(key) if k >= 0 and k == key[behind[i]]}
+            singles = set()
+            if 1 in count:
+                singles = {i for i, k in enumerate(key) if k >= 0 and count[k >> 1] == 1}
+            size = len(key) - key.count(-1)
+        elif side is not current:
+            points = set(map(ahead.__getitem__, points))
+        current = side
         for i in reversed(unlinked):
             succ[pred[i]] = pred[succ[i]] = i
         anchors = []
@@ -552,22 +552,26 @@ def _swap(
     return key, len(count)
 
 
+def _image(part: SignedPartition, side: Side) -> tuple[tuple[int, ...], list[int], int]:
+    """The ground of ``part``, which must be {1..n}, with the final keys of
+    :func:`_swap` peeling it on ``side`` and a bound on their labels."""
+    require_full_ground(part)
+    ts, blocks = part.ground, part.blocks
+    return (ts, *_swap(ts, blocks, _key(blocks, ts, _PRECEDING), side))
+
+
 def psi(part: SignedPartition) -> SignedPartition:
     """Swap the two statistics: peel left points, patch back on the right.
 
     Defined on partitions with full ground {1..n}; the image has the input's
     adjacency count as its singleton count and vice versa.
     """
-    require_full_ground(part)
-    ts, blocks = part.ground, part.blocks
-    return _materialize(ts, *_swap(ts, blocks, _key(blocks, ts, _PRECEDING), Side.LEFT))
+    return _materialize(*_image(part, Side.LEFT))
 
 
 def psi_inverse(part: SignedPartition) -> SignedPartition:
     """Inverse of :func:`psi`: peel right points, patch back on the left."""
-    require_full_ground(part)
-    ts, blocks = part.ground, part.blocks
-    return _materialize(ts, *_swap(ts, blocks, _key(blocks, ts, _PRECEDING), Side.RIGHT))
+    return _materialize(*_image(part, Side.RIGHT))
 
 
 def involution(part: SignedPartition) -> SignedPartition:
@@ -580,7 +584,5 @@ def involution(part: SignedPartition) -> SignedPartition:
     keys are psi's keys reversed; a partition built from them in rank order
     is the canonical complement, with no second pass over psi's image.
     """
-    require_full_ground(part)
-    ts, blocks = part.ground, part.blocks
-    key, labels = _swap(ts, blocks, _key(blocks, ts, _PRECEDING), Side.LEFT)
+    ts, key, labels = _image(part, Side.LEFT)
     return _materialize(ts, key[::-1], labels)

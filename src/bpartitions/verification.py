@@ -294,9 +294,7 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
     count; each witness is the first failing partition in :func:`for_each`
     order, whatever the worker count.
     """
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:  # a single worker needs no |V_n|
-        workers = min(workers, total_count(n))
+    workers = min(jobs, os.cpu_count() or 1, total_count(n))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which no other
         # command needs

@@ -91,6 +91,24 @@ SURFACE = {
         "stirling_row",
         "total_count",
     },
+    "peelpatch": {
+        "AlreadyCoreError",
+        "AnchorMissingError",
+        "MalformedLayerError",
+        "PeelLayer",
+        "PeelTrace",
+        "Side",
+        "involution",
+        "patch",
+        "patch_stages",
+        "patch_step",
+        "peel",
+        "peel_step",
+        "psi",
+        "psi_inverse",
+        "trace_stages",
+    },
+    "enumeration": {"for_each", "leaf_counts", "rank", "walk"},
     "SignedPartition": {"blocks", "ground"},
     "BivariateDistribution": {"evaluate", "is_symmetric", "n", "table", "terms"},
 }

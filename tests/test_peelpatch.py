@@ -931,6 +931,85 @@ def test_involution_is_complement_of_psi_at_batch_sizes():
         check_involution_is_the_composition(part)
 
 
+def _mirror(part, n):
+    """``part`` under i -> n+1-i, which keeps signs.  Built by make_partition
+    on the mirrored ground, so a sparse stage ground is mirrored too."""
+    return make_partition(
+        [[(n + 1 - abs(m)) * (1 if m > 0 else -1) for m in b] for b in part.blocks],
+        [n + 1 - t for t in part.ground],
+    )
+
+
+def check_right_side_mirrors_left(part):
+    # the mirror turns left points into right points, so every right-side
+    # result is the mirror of the left-side result on the mirrored input
+    n = len(part.ground)
+    right, left = peel(part, Side.RIGHT), peel(_mirror(part, n), Side.LEFT)
+
+    def mirrored(elements):
+        return frozenset(n + 1 - t for t in elements)
+
+    assert right.layers == tuple(
+        PeelLayer(x.step, mirrored(x.singletons), mirrored(x.side_points), x.side.opposite)
+        for x in left.layers
+    ), str(part)
+    assert right.core == _mirror(left.core, n), str(part)
+    patched, unpeeled = patch_stages(left, Side.RIGHT), trace_stages(left)
+    assert patch_stages(right, Side.LEFT) == tuple(_mirror(s, n) for s in patched), str(part)
+    assert trace_stages(right) == tuple(_mirror(s, n) for s in unpeeled), str(part)
+
+
+def test_the_right_side_is_the_mirror_of_the_left():
+    # peel, patch_stages and trace_stages on the right against the left side
+    # on the mirrored input: V_0..V_6, the deep family and seeded inputs
+    for n in range(7):
+        for_each(n, check_right_side_mirrors_left)
+    rng = random.Random(14)
+    parts = [_deep_family(200), _deep_family(201)]
+    parts += [
+        _shallow_partition(rng, rng.randint(1, 300), rng.choice((0.0, 0.1, 0.25, 0.4, 0.5)))
+        for _ in range(10)
+    ]
+    for part in parts:
+        check_right_side_mirrors_left(part)
+
+
+def _ordinary_partitions(n):
+    """Every set partition of {1..n}, as an all-positive member of V_n."""
+    blocks = []
+
+    def grow(i):
+        if i > n:
+            yield make_partition(blocks, range(1, n + 1))
+            return
+        for block in blocks:
+            block.append(i)
+            yield from grow(i + 1)
+            block.pop()
+        blocks.append([i])
+        yield from grow(i + 1)
+        blocks.pop()
+
+    return grow(1)
+
+
+def test_the_maps_keep_ordinary_partitions_ordinary():
+    # On ordinary set partitions the maps stay ordinary, so psi also swaps
+    # singletons and cyclic adjacencies of type A partitions (Callan's
+    # theorem), and the (s, a) table of each n is symmetric
+    total = 0
+    for n in range(9):
+        table = Counter()
+        for part in _ordinary_partitions(n):
+            for image in (psi(part), psi_inverse(part), involution(part)):
+                assert min(map(min, image.blocks), default=1) > 0, str(part)
+            st = statistics(part)
+            table[st.singletons, st.adjacencies] += 1
+        assert table == Counter({(a, s): c for (s, a), c in table.items()}), n
+        total += table.total()
+    assert total == 5296  # Bell numbers B_0 + ... + B_8
+
+
 def _mapped_text(part):
     """The text of every map and of the stages on both sides, for one input."""
     n = len(part.ground)
